@@ -4,7 +4,7 @@ abelian surface and for Klein coverings of hyperelliptic curves.
 Layout
 ------
 siegel / theta      period matrices, characteristics, certified theta sums
-                    (compiled kernel with pure-Python fallback)
+                    (one numpy lattice-sum kernel)
 surface / trace     torsion scan, quasi-periodicity, (-1)-action, product
                     case, curve tracing
 exact / lattice     rational linear algebra, Smith normal form, quotient

@@ -1,6 +1,6 @@
-"""Pure-Python (numpy) lattice-sum kernels.
+"""The numpy lattice-sum kernels behind every theta evaluation.
 
-Same contract as the compiled extension `_kernel`: truncated sums
+Both compute truncated sums
 
     sum_{l in [-R, R]^2} exp(pi*i (l+a)^T Z (l+a) + 2*pi*i (l+a).w)
 
@@ -10,8 +10,6 @@ with respect to w.
 """
 
 import numpy as np
-
-BACKEND = "python"
 
 _PI = np.pi
 

@@ -425,6 +425,8 @@ def cmd_feasible_genera(args) -> tuple[Report, int]:
 def cmd_trace_curve(args) -> tuple[str, int]:
     cfg = RunConfig("trace-curve", args.seed, _resolve_tol(args), 1,
                     "csv", args.output)
+    if args.grid < 1:
+        raise CLIInputError(f"grid must be >= 1, got {args.grid}")
     rng = np.random.default_rng(cfg.seed)
     Z = _resolve_Z(args, rng)
     settings = EvalSettings(tol=cfg.tol)

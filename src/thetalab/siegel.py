@@ -9,6 +9,7 @@ dividing 4; the distinguished quarter characteristic is w = (0, 1/4).
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -37,8 +38,8 @@ class EvalSettings:
 
 @dataclass(frozen=True)
 class PeriodMatrix:
-    """Symmetric 2x2 complex matrix with positive definite imaginary part,
-    stored by its upper triangle."""
+    """Symmetric 2x2 complex matrix with finite entries and positive definite
+    imaginary part, stored by its upper triangle."""
 
     z11: complex
     z12: complex
@@ -48,6 +49,8 @@ class PeriodMatrix:
         object.__setattr__(self, "z11", complex(self.z11))
         object.__setattr__(self, "z12", complex(self.z12))
         object.__setattr__(self, "z22", complex(self.z22))
+        if not all(cmath.isfinite(z) for z in (self.z11, self.z12, self.z22)):
+            raise NotSiegel(f"non-finite entry in {(self.z11, self.z12, self.z22)}")
         y11, y12, y22 = self.z11.imag, self.z12.imag, self.z22.imag
         if not (y11 > 0 and y11 * y22 - y12 * y12 > 0):
             raise NotSiegel(

@@ -302,13 +302,17 @@ def minus_one_action(
 
     Solves theta_k(-v_j) = sum_l M[k, l] theta_l(v_j) in least squares over
     n_points random points and compares with the exact permutation
-    (0)(2)(1 3).  Raises IllConditioned when the sample matrix has
-    condition number above 1e8.
+    (0)(2)(1 3).  Row j of both sample matrices is scaled by
+    canonical_weight(Z, v_j), which is the same at v_j and -v_j, so the
+    exact solution is unchanged while rows drawn at large Im v no longer
+    swamp the rest.  Raises IllConditioned when the weighted sample matrix
+    has condition number above 1e8.
     """
     rng = np.random.default_rng(seed)
     pts = [random_point(Z, rng) for _ in range(n_points)]
-    B_pos = np.array([theta_basis(v, Z, settings) for v in pts])  # n x 4
-    B_neg = np.array([theta_basis(-v, Z, settings) for v in pts])
+    w = np.array([canonical_weight(Z, v) for v in pts])[:, None]
+    B_pos = w * np.array([theta_basis(v, Z, settings) for v in pts])  # n x 4
+    B_neg = w * np.array([theta_basis(-v, Z, settings) for v in pts])
     cond = float(np.linalg.cond(B_pos))
     if cond > 1e8:
         raise IllConditioned(f"sample matrix condition number {cond:.3g}")

@@ -8,18 +8,18 @@ a point v in C^2,
 
 The truncation box [-R, R]^2 is chosen so that a Gaussian majorant of the
 dropped tail, normalised by the dominant term's magnitude, falls below the
-requested tolerance.  The lattice sum itself runs in a compiled Cython
-kernel when available, with a numpy fallback selected at import time
-(set THETA_LAB_PURE=1 to force the fallback).
+requested tolerance.  Every public evaluator goes through `_evaluate`, which
+picks one radius per call and runs the numpy lattice sum in `_kernel_py`
+once per characteristic.
 """
 
 from __future__ import annotations
 
 import math
-import os
 
 import numpy as np
 
+from . import _kernel_py as _KERNEL  # looked up per call, so profilers can wrap it
 from .errors import RadiusExceeded
 from .siegel import (
     OMEGA,
@@ -31,27 +31,9 @@ from .siegel import (
 )
 
 
-def _load_kernel():
-    if os.environ.get("THETA_LAB_PURE") == "1":
-        from . import _kernel_py
-
-        return _kernel_py
-    try:
-        from . import _kernel  # compiled extension, may be absent
-
-        return _kernel
-    except ImportError:
-        from . import _kernel_py
-
-        return _kernel_py
-
-
-_KERNEL = _load_kernel()
-
-
 def kernel_backend() -> str:
-    """Name of the active lattice-sum backend: 'cython' or 'python'."""
-    return _KERNEL.BACKEND
+    """Name of the lattice-sum backend recorded in reports: always 'python'."""
+    return "python"
 
 
 def _tail_bound(lam: float, shift: float, radius: int, grad_order: int) -> float:
@@ -92,18 +74,35 @@ def truncation_radius(
     )
 
 
-def _shift_norm(Z: PeriodMatrix, chi: ThetaCharacteristic, v) -> float:
-    Y = Z.imag_part()
-    c2 = chi.c2_floats()
-    beta = np.array([(v[0] + c2[0]).imag, (v[1] + c2[1]).imag])
-    center = np.array(chi.c1_floats()) + np.linalg.solve(Y, beta)
-    return float(np.max(np.abs(center)))
+def _radius_for(Z: PeriodMatrix, chis, v, settings: EvalSettings, grad_order: int) -> int:
+    """One radius for all of chis at v.
+
+    The Gaussian centre of theta[c1; c2] at v is c1 + Y^{-1} Im(v + c2); c2
+    is real, so Y^{-1} Im v is solved once and only c1 moves the centre.
+    """
+    u = np.linalg.solve(Z.imag_part(), np.array([v[0].imag, v[1].imag]))
+    shift = max(float(np.max(np.abs(np.array(chi.c1_floats()) + u))) for chi in chis)
+    return truncation_radius(
+        Z.min_imag_eigenvalue(), shift, settings.tol, settings.max_radius, grad_order
+    )
 
 
-def _radius_for(Z, chis, points, settings: EvalSettings, grad_order: int) -> int:
-    lam = Z.min_imag_eigenvalue()
-    shift = max(_shift_norm(Z, chi, v) for chi in chis for v in points)
-    return truncation_radius(lam, shift, settings.tol, settings.max_radius, grad_order)
+def _evaluate(chis, v, Z: PeriodMatrix, settings: EvalSettings, radius, grad_order: int):
+    """Kernel results for each of chis at v, all at one truncation radius.
+
+    grad_order 0 gives a value per characteristic, grad_order 1 a triple
+    (value, d/dv1, d/dv2).
+    """
+    if radius is None:
+        radius = _radius_for(Z, chis, v, settings, grad_order)
+    kernel = _KERNEL.theta_sum_grad if grad_order else _KERNEL.theta_sum
+    out = []
+    for chi in chis:
+        a, c2 = chi.c1_floats(), chi.c2_floats()
+        out.append(
+            kernel(a[0], a[1], Z.z11, Z.z12, Z.z22, v[0] + c2[0], v[1] + c2[1], radius)
+        )
+    return out
 
 
 def theta_char(
@@ -114,17 +113,12 @@ def theta_char(
     radius: int | None = None,
 ) -> complex:
     """Evaluate theta[c1; c2](v, Z) by certified truncated lattice sum."""
-    if radius is None:
-        radius = _radius_for(Z, [chi], [v], settings, 0)
-    a = chi.c1_floats()
-    c2 = chi.c2_floats()
-    return _KERNEL.theta_sum(
-        a[0], a[1], Z.z11, Z.z12, Z.z22, v[0] + c2[0], v[1] + c2[1], radius
-    )
+    return _evaluate((chi,), v, Z, settings, radius, 0)[0]
 
 
-_CHI_1 = OMEGA
-_CHI_3 = quarter_characteristic(3)
+# theta[3w; 0] first, theta[w; 0] second: the odd section is their difference
+_ODD_PAIR = (quarter_characteristic(3), OMEGA)
+_BASIS = tuple(quarter_characteristic(k) for k in range(4))
 
 
 def odd_theta(
@@ -137,11 +131,8 @@ def odd_theta(
 
     Its zero divisor is the genus-5 curve the rest of the package studies.
     """
-    if radius is None:
-        radius = _radius_for(Z, [_CHI_1, _CHI_3], [v], settings, 0)
-    return theta_char(_CHI_3, v, Z, settings, radius) - theta_char(
-        _CHI_1, v, Z, settings, radius
-    )
+    t3, t1 = _evaluate(_ODD_PAIR, v, Z, settings, radius, 0)
+    return t3 - t1
 
 
 def odd_theta_gradient(
@@ -162,17 +153,7 @@ def odd_theta_with_gradient(
     radius: int | None = None,
 ):
     """Value and gradient of the odd section in one pass (shared radius)."""
-    if radius is None:
-        radius = _radius_for(Z, [_CHI_1, _CHI_3], [v], settings, 1)
-    out = []
-    for chi in (_CHI_3, _CHI_1):
-        a = chi.c1_floats()
-        out.append(
-            _KERNEL.theta_sum_grad(
-                a[0], a[1], Z.z11, Z.z12, Z.z22, v[0], v[1], radius
-            )
-        )
-    (t3, g31, g32), (t1, g11, g12) = out
+    (t3, g31, g32), (t1, g11, g12) = _evaluate(_ODD_PAIR, v, Z, settings, radius, 1)
     return t3 - t1, (g31 - g11, g32 - g12)
 
 
@@ -182,6 +163,4 @@ def theta_basis(
     settings: EvalSettings = EvalSettings(),
 ) -> list[complex]:
     """Values of the four basis sections theta[k*w; 0], k = 0..3, at v."""
-    chis = [quarter_characteristic(k) for k in range(4)]
-    radius = _radius_for(Z, chis, [v], settings, 0)
-    return [theta_char(chi, v, Z, settings, radius) for chi in chis]
+    return _evaluate(_BASIS, v, Z, settings, None, 0)

@@ -101,6 +101,28 @@ def test_verify_surface_from_file(capsys, tmp_path):
     assert json.loads(out)["overall"] == "pass"
 
 
+def test_verify_surface_rejects_nan_period_matrix(capsys, tmp_path):
+    path = tmp_path / "Z.json"
+    path.write_text(
+        json.dumps(
+            {"re": [[float("nan"), 0.05], [0.05, -0.2]], "im": [[1.0, 0.3], [0.3, 1.2]]}
+        )
+    )
+    code, out, err = run(capsys, ["verify-surface", "--period-matrix", str(path)])
+    assert code == 2
+    assert out == ""
+    assert "NotSiegel" in err
+
+
+def test_verify_surface_ill_conditioned_draw(capsys):
+    # draw 23 has sample points at large Im v; the unweighted (-1)-action
+    # fit had condition number 7.4e10 there and exited 2
+    code, out, _ = run(capsys, ["verify-surface", "--random", "--seed", "23"])
+    assert code == 0
+    by_name = {c["name"]: c for c in json.loads(out)["checks"]}
+    assert by_name["minus_one_action"]["status"] == "pass"
+
+
 def test_verify_surface_failing_check_exits_1(capsys, monkeypatch):
     # force a threshold no real scan can meet to exercise the exit path
     monkeypatch.setattr(cli, "SEPARATION_MIN", float("inf"))
@@ -218,6 +240,14 @@ def test_trace_curve_stdout(capsys):
     code, out, err = run(capsys, ["trace-curve", "--random", "--seed", "3", "--grid", "3"])
     assert code == 0
     assert out.startswith("v1_re,")
+
+
+@pytest.mark.parametrize("grid", ["0", "-3"])
+def test_trace_curve_rejects_non_positive_grid(capsys, grid):
+    code, out, err = run(capsys, ["trace-curve", "--random", "--seed", "3", "--grid", grid])
+    assert code == 2
+    assert out == ""
+    assert "grid" in err
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,7 @@ The main oracle is the classical one-variable theta function: on a diagonal
 period matrix the two-variable series factors into a product of two
 one-variable series, each of which reduces to mpmath's jtheta(3, .) after
 completing the square in the characteristic.  mpmath shares no code with
-either summation kernel, so agreement is an independent check of both the
+the summation kernel, so agreement is an independent check of both the
 lattice sum and the truncation-radius estimate.
 """
 
@@ -22,7 +22,6 @@ from thetalab import (
     PeriodMatrix,
     RadiusExceeded,
     ThetaCharacteristic,
-    kernel_backend,
     odd_theta,
     odd_theta_gradient,
     odd_theta_with_gradient,
@@ -53,7 +52,7 @@ def theta1d(a, b, v, tau):
 
 
 def reference_theta(chi, v, Z, radius=12):
-    """Direct double sum in plain Python, independent of both kernels."""
+    """Direct double sum in plain Python, independent of the kernel."""
     (a1, a2), (b1, b2) = chi.c1_floats(), chi.c2_floats()
     total = 0.0 + 0.0j
     for m1 in range(-radius, radius + 1):
@@ -80,8 +79,15 @@ def test_diagonal_factorisation_against_mpmath(Zdiag, k):
         assert got == pytest.approx(want, rel=1e-11, abs=1e-12)
 
 
-def test_generic_matrix_against_direct_sum(Z0):
-    chi = ThetaCharacteristic((0, OMEGA.c1[1]), (0, 0))
+@pytest.mark.parametrize(
+    "chi",
+    [
+        ThetaCharacteristic((0, OMEGA.c1[1]), (0, 0)),
+        ThetaCharacteristic(("1/2", "1/4"), ("1/2", "3/4")),
+    ],
+    ids=["quarter", "c1_c2_nonzero"],
+)
+def test_generic_matrix_against_direct_sum(Z0, chi):
     for v in [(0.2 + 0.1j, 0.3 - 0.05j), (-0.4 + 0.3j, 1.1 + 0.2j)]:
         got = theta_char(chi, v, Z0)
         want = reference_theta(chi, v, Z0)
@@ -153,6 +159,8 @@ def test_value_with_gradient_consistent(Z0, rng):
     v = random_point(Z0, rng)
     t, (g1, g2) = odd_theta_with_gradient(v, Z0)
     assert t == pytest.approx(odd_theta(v, Z0), rel=1e-12)
+    # at one radius the value from the gradient pass is the plain sum's
+    assert odd_theta_with_gradient(v, Z0, radius=8)[0] == odd_theta(v, Z0, radius=8)
     h1, h2 = odd_theta_gradient(v, Z0)
     assert g1 == pytest.approx(h1, rel=1e-11)
     assert g2 == pytest.approx(h2, rel=1e-11)
@@ -205,6 +213,11 @@ def test_not_siegel_rejected():
         PeriodMatrix(1j, 5j, 1j)  # imaginary part indefinite
     with pytest.raises(NotSiegel):
         PeriodMatrix(-1j, 0.0, 1j)
+    nan, inf = float("nan"), float("inf")
+    for entries in [(complex(nan, 1.0), 0.1, 1j), (1j, complex(0.1, nan), 1j),
+                    (1j, 0.1, complex(inf, 1.0))]:
+        with pytest.raises(NotSiegel):
+            PeriodMatrix(*entries)
 
 
 def test_characteristic_denominators_checked():
@@ -212,29 +225,6 @@ def test_characteristic_denominators_checked():
         ThetaCharacteristic(("1/3", 0), (0, 0))
     chi = quarter_characteristic(3)
     assert chi.c1_floats() == (0.0, 0.75)
-
-
-# ---------------------------------------------------------------------------
-# backends
-
-
-def test_backends_agree():
-    from thetalab import _kernel_py
-
-    if kernel_backend() != "cython":
-        pytest.skip("compiled kernel not available")
-    from thetalab import _kernel
-
-    args = (0.0, 0.25, 0.1 + 1.0j, 0.05 + 0.3j, -0.2 + 1.2j, 0.3 + 0.1j, -0.2 + 0.4j)
-    for radius in (4, 8, 16):
-        a = _kernel.theta_sum(*args, radius)
-        b = _kernel_py.theta_sum(*args, radius)
-        assert a == pytest.approx(b, rel=1e-13)
-        va, ga1, ga2 = _kernel.theta_sum_grad(*args, radius)
-        vb, gb1, gb2 = _kernel_py.theta_sum_grad(*args, radius)
-        assert va == pytest.approx(vb, rel=1e-13)
-        assert ga1 == pytest.approx(gb1, rel=1e-13)
-        assert ga2 == pytest.approx(gb2, rel=1e-13)
 
 
 def test_random_period_matrix_is_siegel(rng):
