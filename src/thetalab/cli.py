@@ -14,7 +14,6 @@ import json
 import os
 import sys
 import time
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -58,22 +57,6 @@ COMPONENT_TOL = 1e-10
 CONTROL_RATIO = 1e-6
 
 DEFAULT_TOL = 1e-12
-
-
-@dataclass
-class RunConfig:
-    command: str
-    seed: int
-    tol: float
-    samples: int
-    output_format: str
-    output_path: str | None
-
-    def __post_init__(self):
-        if self.tol <= 0:
-            raise CLIInputError(f"tolerance must be positive, got {self.tol}")
-        if self.samples < 1:
-            raise CLIInputError(f"samples must be >= 1, got {self.samples}")
 
 
 class CLIInputError(Exception):
@@ -143,20 +126,16 @@ def _label_str(label) -> str:
 
 
 # ---------------------------------------------------------------------------
-# subcommands
+# subcommands: each adds its checks and extras to the report main built
 
 
-def cmd_verify_surface(args) -> tuple[Report, int]:
-    cfg = RunConfig("verify-surface", args.seed, _resolve_tol(args), args.samples,
-                    args.format, args.output)
-    rng = np.random.default_rng(cfg.seed)
+def cmd_verify_surface(args, report: Report) -> None:
+    rng = np.random.default_rng(args.seed)
     Z = _resolve_Z(args, rng)
-    settings = EvalSettings(tol=cfg.tol)
-    report = Report(cfg.command, cfg.seed, cfg.tol)
-    t0 = time.perf_counter()
+    settings = EvalSettings(tol=report.tol)
 
     chi1, chi3 = quarter_characteristic(1), quarter_characteristic(3)
-    pts = [random_point(Z, rng) for _ in range(min(cfg.samples, 100))]
+    pts = [random_point(Z, rng) for _ in range(min(args.samples, 100))]
     odd_res = parity_res = 0.0
     scale = 0.0
     triples = []
@@ -188,7 +167,7 @@ def cmd_verify_surface(args) -> tuple[Report, int]:
         f"non={counts['NonVanishing']} separation={sep:.3e}",
     )
 
-    qp = quasi_periodicity_check(Z, settings, n_samples=cfg.samples, seed=cfg.seed)
+    qp = quasi_periodicity_check(Z, settings, n_samples=args.samples, seed=args.seed)
     report.add("w1_antiperiodicity", qp.w1_max_residual < W1_TOL, qp.w1_max_residual)
     M = qp.constants["w2"]
     ok = M.spread / max(abs(M.value), 1e-300) < W2_SPREAD_TOL and abs(M.value) > 0
@@ -201,7 +180,7 @@ def cmd_verify_surface(args) -> tuple[Report, int]:
     report.add("lattice_automorphy", qp.automorphy_max_residual < AUTOMORPHY_TOL,
                qp.automorphy_max_residual)
 
-    neg = minus_one_action(Z, settings, seed=cfg.seed + 1)
+    neg = minus_one_action(Z, settings, seed=args.seed + 1)
     ok = neg.permutation_residual < NEGATION_TOL and neg.anti_invariant_dim == 1
     report.add(
         "minus_one_action",
@@ -223,23 +202,17 @@ def cmd_verify_surface(args) -> tuple[Report, int]:
         ),
         "M": format_complex(M.value),
     }
-    report.wall_time_s = time.perf_counter() - t0
-    return report, 0 if report.overall == "pass" else 1
 
 
-def cmd_product_case(args) -> tuple[Report, int]:
-    cfg = RunConfig("product-case", args.seed, _resolve_tol(args), args.samples,
-                    args.format, args.output)
+def cmd_product_case(args, report: Report) -> None:
     tau1, tau2 = parse_complex(args.tau1), parse_complex(args.tau2)
     try:
         Z = PeriodMatrix.diagonal(tau1, tau2)
     except ThetaLabError as exc:
         raise CLIInputError(f"invalid tau: {exc}") from exc
-    settings = EvalSettings(tol=cfg.tol)
-    report = Report(cfg.command, cfg.seed, cfg.tol)
-    t0 = time.perf_counter()
+    settings = EvalSettings(tol=report.tol)
 
-    pc = product_case_components(Z, settings, n_samples=cfg.samples, seed=cfg.seed)
+    pc = product_case_components(Z, settings, n_samples=args.samples, seed=args.seed)
     worst = max(c.max_abs for c in pc.components)
     report.add(
         "five_components_vanish",
@@ -288,8 +261,6 @@ def cmd_product_case(args) -> tuple[Report, int]:
             for r in copies
         },
     }
-    report.wall_time_s = time.perf_counter() - t0
-    return report, 0 if report.overall == "pass" else 1
 
 
 def _parse_subset(text: str, genus: int) -> TwoTorsionClass:
@@ -300,11 +271,7 @@ def _parse_subset(text: str, genus: int) -> TwoTorsionClass:
     return TwoTorsionClass.from_members(genus, members)
 
 
-def cmd_klein(args) -> tuple[Report, int]:
-    cfg = RunConfig("klein", args.seed, _resolve_tol(args), args.samples,
-                    args.format, args.output)
-    report = Report(cfg.command, cfg.seed, cfg.tol)
-    t0 = time.perf_counter()
+def cmd_klein(args, report: Report) -> None:
     g = args.genus
 
     if args.enumerate:
@@ -362,16 +329,9 @@ def cmd_klein(args) -> tuple[Report, int]:
                 "complement": [list(c.sorted_members()) for c in comp.nonzero_elements()],
                 "isotropic": comp.is_isotropic(),
             }
-    report.wall_time_s = time.perf_counter() - t0
-    return report, 0 if report.overall == "pass" else 1
 
 
-def cmd_decompose(args) -> tuple[Report, int]:
-    cfg = RunConfig("decompose", args.seed, _resolve_tol(args), args.samples,
-                    args.format, args.output)
-    report = Report(cfg.command, cfg.seed, cfg.tol)
-    t0 = time.perf_counter()
-
+def cmd_decompose(args, report: Report) -> None:
     result = assemble_decomposition()
     report.add("main_dims", result.main.dims() == (2, 1, 1, 1), None,
                f"dims={result.main.dims()}")
@@ -387,16 +347,9 @@ def cmd_decompose(args) -> tuple[Report, int]:
         },
         "genus_table": result.genus_table,
     }
-    report.wall_time_s = time.perf_counter() - t0
-    return report, 0 if report.overall == "pass" else 1
 
 
-def cmd_feasible_genera(args) -> tuple[Report, int]:
-    cfg = RunConfig("feasible-genera", args.seed, _resolve_tol(args), args.samples,
-                    args.format, args.output)
-    report = Report(cfg.command, cfg.seed, cfg.tol)
-    t0 = time.perf_counter()
-
+def cmd_feasible_genera(args, report: Report) -> None:
     got = feasible_genera(args.max)
     expected = [(g, (1, g - 1)) for g in range(2, min(5, args.max) + 1)]
     ok = [(g, t.as_tuple()) for g, t in got] == expected
@@ -418,19 +371,15 @@ def cmd_feasible_genera(args) -> tuple[Report, int]:
         "summary": summary,
         "rejected": {str(g): v for g, v in rejected.items()},
     }
-    report.wall_time_s = time.perf_counter() - t0
-    return report, 0 if report.overall == "pass" else 1
 
 
-def cmd_trace_curve(args) -> tuple[str, int]:
-    cfg = RunConfig("trace-curve", args.seed, _resolve_tol(args), 1,
-                    "csv", args.output)
+def cmd_trace_curve(args, report: Report) -> str:
+    """The one subcommand whose output is a CSV point cloud, not the report."""
     if args.grid < 1:
         raise CLIInputError(f"grid must be >= 1, got {args.grid}")
-    rng = np.random.default_rng(cfg.seed)
-    Z = _resolve_Z(args, rng)
-    settings = EvalSettings(tol=cfg.tol)
-    result = trace_curve(Z, settings, grid_size=args.grid)
+    Z = _resolve_Z(args, np.random.default_rng(args.seed))
+    result = trace_curve(Z, EvalSettings(tol=report.tol), grid_size=args.grid)
+    report.add("points_found", bool(result.points))
 
     lines = ["v1_re,v1_im,v2_re,v2_im,abs_theta,grad_norm"]
     for p in result.points:
@@ -444,7 +393,7 @@ def cmd_trace_curve(args) -> tuple[str, int]:
         f"{len(result.failures)} lines without solutions",
         file=sys.stderr,
     )
-    return text, 0 if result.points else 1
+    return text
 
 
 # ---------------------------------------------------------------------------
@@ -517,23 +466,27 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Parse, check the shared inputs, run the subcommand on a fresh report,
+    and emit it (or the subcommand's own text).  Exit 1 when a check fails."""
+    args = build_parser().parse_args(argv)
+    t0 = time.perf_counter()
     try:
-        out = args.func(args)
+        tol = _resolve_tol(args)
+        if tol <= 0:
+            raise CLIInputError(f"tolerance must be positive, got {tol}")
+        if getattr(args, "samples", 1) < 1:
+            raise CLIInputError(f"samples must be >= 1, got {args.samples}")
+        report = Report(args.command, args.seed, tol)
+        text = args.func(args, report)
     except CLIInputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except ThetaLabError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
-    if isinstance(out[0], Report):
-        report, code = out
-        _emit(report.render(args.format), args.output)
-        return code
-    text, code = out
-    _emit(text, args.output)
-    return code
+    report.wall_time_s = time.perf_counter() - t0
+    _emit(report.render(args.format) if text is None else text, args.output)
+    return 0 if report.overall == "pass" else 1
 
 
 if __name__ == "__main__":

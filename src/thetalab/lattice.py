@@ -29,7 +29,7 @@ from .errors import (
     OutOfRange,
 )
 from .exact import Matrix, Vector
-from .twotorsion import TwoTorsionClass
+from .twotorsion import TwoTorsionClass, echelon
 
 
 @dataclass(frozen=True)
@@ -142,18 +142,8 @@ class HalfTorsionSubgroup:
 
     @property
     def rank(self) -> int:
-        rows = [list(g) for g in self.reduced_generators()]
-        r = 0
-        for col in range(4):
-            piv = next((i for i in range(r, len(rows)) if rows[i][col]), None)
-            if piv is None:
-                continue
-            rows[r], rows[piv] = rows[piv], rows[r]
-            for i in range(len(rows)):
-                if i != r and rows[i][col]:
-                    rows[i] = [(a + b) % 2 for a, b in zip(rows[i], rows[r])]
-            r += 1
-        return r
+        masks = (sum(bit << i for i, bit in enumerate(g)) for g in self.reduced_generators())
+        return len(echelon(masks))
 
     @property
     def order(self) -> int:
@@ -269,11 +259,11 @@ def genus_feasibility_report(g_max: int) -> list[GenusCandidate]:
     out = []
     for g in range(2, g_max + 1):
         n = g - 1
-        for d1 in range(1, n + 1):
+        for d1 in range(1, math.isqrt(n) + 1):  # d1 <= d2 = n // d1
             if n % d1:
                 continue
             d2 = n // d1
-            if d2 < d1 or d2 % d1:
+            if d2 % d1:
                 continue
             s = (d1 % 2) + (d2 % 2)
             allowed = tuple(sorted({8, 8 + 2 ** (3 - s), 8 - 2 ** (3 - s)}))

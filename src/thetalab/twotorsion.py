@@ -1,11 +1,13 @@
 """Two-torsion of hyperelliptic Jacobians as even subsets of marked points.
 
 A genus-g hyperelliptic curve has 2g+2 branch points, indexed 1..2g+2.
-Two-torsion classes of the Jacobian are even-cardinality subsets modulo
-complement, added by symmetric difference; the Weil pairing of two classes
-is the parity of the intersection of representatives.  Canonical
-representative: the smaller subset, with lexicographic tie-break at
-cardinality g+1.
+Two-torsion classes are even subsets modulo complement, the group F2^(2g).
+A class is a bit mask (bit i-1 for point i) normalised to the smaller of
+the mask and its complement, so point 2g+2 is never in it: addition is XOR
+and the Weil pairing is the parity of the popcount of the AND.  The shown
+representative is the smaller subset, with lexicographic tie-break at
+cardinality g+1.  All F2 linear algebra (ranks, orthogonal complements,
+keys of subgroups) goes through one routine, ``echelon``.
 
 On top of the group structure this module classifies Klein (Z2 x Z2)
 subgroups and their (Z2 x Z2)-coverings: isotropy under the pairing,
@@ -30,84 +32,107 @@ from .errors import (
 )
 
 
+def echelon(vectors) -> list[int]:
+    """Reduced echelon basis of the F2 span of the bit vectors, highest
+    leading bit first: as a tuple it is a canonical key of the span.
+    ``min(v, v ^ b)`` clears the leading bit of b from v."""
+    basis: list[int] = []
+    for v in vectors:
+        for b in basis:
+            v = min(v, v ^ b)
+        if v:
+            basis = [min(b, b ^ v) for b in basis]
+            basis.append(v)
+    return sorted(basis, reverse=True)
+
+
+def span(basis) -> list[int]:
+    """The 2^k elements of the span of k independent bit vectors, zero first."""
+    out = [0]
+    for b in basis:
+        out += [x ^ b for x in out]
+    return out
+
+
 @dataclass(frozen=True)
 class TwoTorsionClass:
-    genus: int
-    members: frozenset[int]
+    """A normalised mask, taken unchecked; from_members and from_pair check."""
 
-    def __post_init__(self):
-        if self.genus < 1:
-            raise OutOfRange(f"genus {self.genus} < 1")
-        n = 2 * self.genus + 2
-        members = frozenset(self.members)
+    genus: int
+    mask: int  # bit i-1 for branch point i; point 2g+2 never set
+
+    @classmethod
+    def zero(cls, genus: int) -> "TwoTorsionClass":
+        return cls.from_members(genus, ())
+
+    @classmethod
+    def from_members(cls, genus: int, members) -> "TwoTorsionClass":
+        if genus < 1:
+            raise OutOfRange(f"genus {genus} < 1")
+        n = 2 * genus + 2
+        members = frozenset(members)
         if not all(isinstance(i, int) and 1 <= i <= n for i in members):
             raise OutOfRange(f"members {sorted(members)} not within 1..{n}")
         if len(members) % 2:
             raise OutOfRange(f"odd cardinality {len(members)}")
-        object.__setattr__(self, "members", _canonical(self.genus, members))
-
-    @classmethod
-    def zero(cls, genus: int) -> "TwoTorsionClass":
-        return cls(genus, frozenset())
-
-    @classmethod
-    def from_members(cls, genus: int, members) -> "TwoTorsionClass":
-        return cls(genus, frozenset(members))
+        mask = sum(1 << (i - 1) for i in members)
+        return cls(genus, min(mask, mask ^ ((1 << n) - 1)))
 
     @classmethod
     def from_pair(cls, genus: int, i: int, j: int) -> "TwoTorsionClass":
         """The difference of the branch points i and j."""
         if i == j:
             raise OutOfRange(f"pair indices must differ, got {i}, {j}")
-        return cls(genus, frozenset((i, j)))
+        return cls.from_members(genus, (i, j))
 
     def __add__(self, other: "TwoTorsionClass") -> "TwoTorsionClass":
         if self.genus != other.genus:
             raise GenusMismatch(f"genus {self.genus} vs {other.genus}")
-        return TwoTorsionClass(self.genus, self.members ^ other.members)
+        return TwoTorsionClass(self.genus, self.mask ^ other.mask)
+
+    def _shown(self) -> int:
+        """Mask of the shown subset (at weight g+1, the one holding point 1)."""
+        w = self.mask.bit_count()
+        if w > self.genus + 1 or (w == self.genus + 1 and not self.mask & 1):
+            return self.mask ^ ((1 << (2 * self.genus + 2)) - 1)
+        return self.mask
+
+    @property
+    def members(self) -> frozenset[int]:
+        return frozenset(self.sorted_members())
 
     @property
     def weight(self) -> int:
-        return len(self.members)
+        return self._shown().bit_count()
 
     def is_zero(self) -> bool:
-        return not self.members
+        return not self.mask
 
     def sorted_members(self) -> tuple[int, ...]:
-        return tuple(sorted(self.members))
+        m = self._shown()
+        return tuple(i + 1 for i in range(m.bit_length()) if m >> i & 1)
 
     def __repr__(self):
         return f"TwoTorsionClass(g={self.genus}, {set(self.sorted_members()) or '{}'})"
 
 
-def _canonical(genus: int, members: frozenset[int]) -> frozenset[int]:
-    comp = frozenset(range(1, 2 * genus + 3)) - members
-    if len(members) < len(comp):
-        return members
-    if len(comp) < len(members):
-        return comp
-    return members if tuple(sorted(members)) < tuple(sorted(comp)) else comp
+def _display_order(c: TwoTorsionClass) -> tuple:
+    return (c.weight, c.sorted_members())
 
 
 def weil(a: TwoTorsionClass, b: TwoTorsionClass) -> int:
     """Weil pairing: parity of |S intersect T| (well defined mod complement)."""
     if a.genus != b.genus:
         raise GenusMismatch(f"genus {a.genus} vs {b.genus}")
-    return len(a.members & b.members) % 2
+    return (a.mask & b.mask).bit_count() & 1
 
 
 def all_classes(genus: int) -> list[TwoTorsionClass]:
     """All 2^(2g) two-torsion classes, sorted by weight then members."""
-    n = 2 * genus + 2
-    out = []
-    for k in range(0, genus + 2, 2):
-        for s in itertools.combinations(range(1, n + 1), k):
-            cls = TwoTorsionClass(genus, frozenset(s))
-            if cls.sorted_members() == s:
-                out.append(cls)
-    # odd genus: weight g+1 subsets appear once per complement pair, and the
-    # canonical filter above already kept exactly one of the two
-    out.sort(key=lambda c: (c.weight, c.sorted_members()))
+    TwoTorsionClass.zero(genus)  # validates the genus
+    out = [TwoTorsionClass(genus, m) for m in range(1 << (2 * genus + 1))
+           if not m.bit_count() & 1]
+    out.sort(key=_display_order)
     return out
 
 
@@ -152,12 +177,7 @@ class KleinSubgroup:
         )
 
     def nonzero_elements(self) -> tuple[TwoTorsionClass, ...]:
-        return tuple(
-            sorted(
-                (self.eta1, self.eta2, self.eta1 + self.eta2),
-                key=lambda c: (c.weight, c.sorted_members()),
-            )
-        )
+        return tuple(sorted((self.eta1, self.eta2, self.eta1 + self.eta2), key=_display_order))
 
     def is_isotropic(self) -> bool:
         return weil(self.eta1, self.eta2) == 0
@@ -212,11 +232,11 @@ def enumerate_klein(genus: int) -> KleinCensus:
     """Census of all Klein subgroups (deduplicated); genus capped at 4."""
     if genus > _ENUM_GENUS_CAP:
         raise TooLarge(f"genus {genus} > {_ENUM_GENUS_CAP}: {4**genus} classes")
-    nz = nonzero_classes(genus)
-    seen: dict[frozenset, KleinSubgroup] = {}
-    for a, b in itertools.combinations(nz, 2):
-        G = KleinSubgroup(a, b)
-        seen.setdefault(G.elements(), G)
+    seen: dict[tuple[int, ...], KleinSubgroup] = {}
+    for a, b in itertools.combinations(nonzero_classes(genus), 2):
+        key = tuple(echelon((a.mask, b.mask)))
+        if key not in seen:
+            seen[key] = KleinSubgroup(a, b)
     groups = list(seen.values())
     iso = sum(1 for G in groups if G.is_isotropic())
     kinds = [classify_klein_cover(G) for G in groups]
@@ -236,17 +256,13 @@ def enumerate_klein(genus: int) -> KleinCensus:
 
 
 def perp_basis(G: KleinSubgroup) -> list[TwoTorsionClass]:
-    """Basis of the (2g-2)-dimensional orthogonal complement of G under
-    the Weil pairing, by greedy extraction from the full class list."""
+    """Echelon basis of the (2g-2)-dimensional orthogonal complement of G
+    under the Weil pairing, from the masks of the classes orthogonal to it."""
     if G.genus > 6:
         raise TooLarge(f"genus {G.genus} enumeration not supported")
-    basis: list[TwoTorsionClass] = []
-    span = {TwoTorsionClass.zero(G.genus)}
-    for c in nonzero_classes(G.genus):
-        if weil(c, G.eta1) == 0 and weil(c, G.eta2) == 0 and c not in span:
-            basis.append(c)
-            span |= {c + s for s in span}
-    return basis
+    orthogonal = (c.mask for c in nonzero_classes(G.genus)
+                  if weil(c, G.eta1) == 0 and weil(c, G.eta2) == 0)
+    return [TwoTorsionClass(G.genus, m) for m in echelon(orthogonal)]
 
 
 def orthogonal_complement(G: KleinSubgroup) -> KleinSubgroup:
@@ -334,28 +350,21 @@ def z23_contains_isotropic(genus: int, keep_witnesses: int = 3) -> Z23Report:
     odd-dimensional space has a nonzero radical)."""
     if genus > _Z23_GENUS_CAP:
         raise TooLarge(f"genus {genus} > {_Z23_GENUS_CAP}")
-    nz = nonzero_classes(genus)
-    zero = TwoTorsionClass.zero(genus)
-    seen: set[frozenset] = set()
+    nz = [c.mask for c in nonzero_classes(genus)]
+    seen: set[tuple[int, ...]] = set()
     found = 0
     witnesses = []
-    for a, b, c in itertools.combinations(nz, 3):
-        if c in (a, b, a + b):
+    for triple in itertools.combinations(nz, 3):
+        key = tuple(echelon(triple))
+        if len(key) < 3 or key in seen:
             continue
-        span = frozenset(
-            (zero, a, b, c, a + b, a + c, b + c, a + b + c)
-        )
-        if span in seen:
-            continue
-        seen.add(span)
-        witness = None
-        for x, y in itertools.combinations(sorted(span - {zero},
-                                                  key=lambda t: (t.weight, t.sorted_members())), 2):
-            if weil(x, y) == 0:
-                witness = KleinSubgroup(x, y)
-                break
+        seen.add(key)
+        elements = sorted((TwoTorsionClass(genus, m) for m in span(key)[1:]),
+                          key=_display_order)
+        witness = next((KleinSubgroup(x, y) for x, y in itertools.combinations(elements, 2)
+                        if weil(x, y) == 0), None)
         if witness is not None:
             found += 1
             if len(witnesses) < keep_witnesses:
-                witnesses.append(((a, b, c), witness))
+                witnesses.append((tuple(TwoTorsionClass(genus, m) for m in triple), witness))
     return Z23Report(genus, len(seen), found, witnesses)

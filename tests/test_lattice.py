@@ -264,7 +264,7 @@ def test_feasible_genera_exact_set():
 
 
 def test_feasibility_report_structure():
-    report = genus_feasibility_report(12)
+    report = genus_feasibility_report(200)
     for cand in report:
         assert cand.type.d1 * cand.type.d2 == cand.genus - 1
         assert cand.type.d2 % cand.type.d1 == 0
@@ -273,6 +273,16 @@ def test_feasibility_report_structure():
             assert cand.branch_count in cand.allowed_counts
         else:
             assert 2 * cand.genus + 2 not in cand.allowed_counts
+    # completeness: every type with d1 * d2 = g - 1 and d1 | d2 is listed,
+    # once, against a plain enumeration of all divisors of g - 1
+    listed = {}
+    for cand in report:
+        listed.setdefault(cand.genus, []).append(cand.type.as_tuple())
+    for g in range(2, 201):
+        n = g - 1
+        expected = [(d, n // d) for d in range(1, n + 1) if n % d == 0 and (n // d) % d == 0]
+        assert sorted(listed[g]) == expected, g
+    assert set(listed) == set(range(2, 201))
 
 
 def test_feasibility_rejects_six_and_seven():

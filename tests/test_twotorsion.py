@@ -9,6 +9,8 @@ import itertools
 from math import comb
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from thetalab import (
     CoverClass,
@@ -32,6 +34,7 @@ from thetalab import (
     weil,
     z23_contains_isotropic,
 )
+from thetalab.twotorsion import echelon, span
 
 
 # ---------------------------------------------------------------------------
@@ -97,6 +100,55 @@ def test_weight_distribution_genus3():
     assert weights.count(0) == 1
     assert weights.count(2) == comb(8, 2)
     assert weights.count(4) == comb(8, 4) // 2
+
+
+# ---------------------------------------------------------------------------
+# the bit-mask model against a frozenset oracle
+
+
+@st.composite
+def even_subsets(draw):
+    """A genus in 1..6 and two even subsets S, T of its branch points."""
+    genus = draw(st.integers(1, 6))
+    points = st.sampled_from(range(1, 2 * genus + 3))
+
+    def even():
+        s = draw(st.frozensets(points))
+        return s ^ {draw(points)} if len(s) % 2 else s
+
+    return genus, even(), even()
+
+
+def oracle_representative(genus, s):
+    """The smaller of S and its complement, lexicographic at a tie."""
+    comp = frozenset(range(1, 2 * genus + 3)) - s
+    return min(tuple(sorted(s)), tuple(sorted(comp)), key=lambda t: (len(t), t))
+
+
+@given(even_subsets())
+def test_mask_model_matches_subset_oracle(data):
+    genus, S, T = data
+    a = TwoTorsionClass.from_members(genus, S)
+    b = TwoTorsionClass.from_members(genus, T)
+    assert a + b == TwoTorsionClass.from_members(genus, S ^ T)
+    assert weil(a, b) == len(S & T) % 2
+    for s, c in ((S, a), (T, b), (S ^ T, a + b)):
+        assert c.sorted_members() == oracle_representative(genus, s)
+        assert c.members == frozenset(c.sorted_members())
+        assert c.weight == len(c.sorted_members())
+        assert c.is_zero() == (not c.sorted_members())
+
+
+@given(st.lists(st.integers(0, 2**8 - 1), max_size=8))
+def test_echelon_rank_and_span_match_brute_force(vectors):
+    brute = {0}
+    for v in vectors:
+        brute |= {x ^ v for x in brute}
+    basis = echelon(vectors)
+    assert 2 ** len(basis) == len(brute)
+    assert sorted(span(basis)) == sorted(brute)
+    # the basis is a canonical key of the span
+    assert echelon(sorted(brute)) == basis
 
 
 # ---------------------------------------------------------------------------
