@@ -29,6 +29,7 @@ from .siegel import (
 )
 from .surface import (
     ScanKind,
+    _points,
     four_copy_scan,
     four_copy_summary,
     minus_one_action,
@@ -73,6 +74,7 @@ def parse_complex(text: str) -> complex:
 
 
 def format_complex(z: complex) -> str:
+    z = complex(z)  # a numpy scalar's repr would name its type
     sign = "+" if z.imag >= 0 else "-"
     return f"{z.real!r}{sign}{abs(z.imag)!r}i"
 
@@ -135,18 +137,16 @@ def cmd_verify_surface(args, report: Report) -> None:
     settings = EvalSettings(tol=report.tol)
 
     chi1, chi3 = quarter_characteristic(1), quarter_characteristic(3)
-    pts = [random_point(Z, rng) for _ in range(min(args.samples, 100))]
-    odd_res = parity_res = 0.0
-    scale = 0.0
-    triples = []
-    for v in pts:
-        tv, tm = odd_theta(v, Z, settings), odd_theta(-v, Z, settings)
-        p1, p3 = theta_char(chi1, -v, Z, settings), theta_char(chi3, v, Z, settings)
-        triples.append((tv, tm, p1, p3))
-        scale = max(scale, abs(tv), abs(p3))
-    for tv, tm, p1, p3 in triples:
-        odd_res = max(odd_res, abs(tv + tm) / max(abs(tv), abs(tm), 1e-8 * scale))
-        parity_res = max(parity_res, abs(p1 - p3) / max(abs(p1), abs(p3), 1e-8 * scale))
+    pts = _points([random_point(Z, rng) for _ in range(min(args.samples, 100))])
+    n = len(pts)
+    t = odd_theta(np.concatenate([pts, -pts]), Z, settings)
+    tv, tm = t[:n], t[n:]
+    p1, p3 = theta_char(chi1, -pts, Z, settings), theta_char(chi3, pts, Z, settings)
+    scale = float(max(np.abs(tv).max(), np.abs(p3).max()))
+    denom = np.maximum(np.maximum(np.abs(tv), np.abs(tm)), 1e-8 * scale)
+    odd_res = float(np.max(np.abs(tv + tm) / denom))
+    denom = np.maximum(np.maximum(np.abs(p1), np.abs(p3)), 1e-8 * scale)
+    parity_res = float(np.max(np.abs(p1 - p3) / denom))
     report.add("oddness", odd_res < ODDNESS_TOL, odd_res)
     report.add("basis_parity", parity_res < ODDNESS_TOL, parity_res)
 

@@ -99,9 +99,6 @@ class SurfacePoint(NamedTuple):
     def __neg__(self) -> "SurfacePoint":
         return SurfacePoint(-self.v1, -self.v2)
 
-    def shift(self, w: "SurfacePoint | tuple[complex, complex]") -> "SurfacePoint":
-        return SurfacePoint(self.v1 + w[0], self.v2 + w[1])
-
 
 class TorsionLabel(NamedTuple):
     """Label (alpha, beta) of the 2-torsion point (Z alpha + D beta) / 2."""

@@ -11,7 +11,6 @@ of the polarisation kernel.
 
 from __future__ import annotations
 
-import cmath
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -26,24 +25,24 @@ from .siegel import (
     random_point,
     two_torsion_points,
 )
-from .theta import odd_theta, odd_theta_with_gradient, theta_basis
+from .theta import _log_peak, odd_theta, odd_theta_with_gradient, theta_basis
 
 # classification thresholds, relative to the scan's scale
 VALUE_RATIO = 1e-6
 GRAD_RATIO = 1e-6
 
 
-def canonical_weight(Z: PeriodMatrix, v) -> float:
+def canonical_weight(Z: PeriodMatrix, v):
     """The damping factor exp(-pi * y^T Y^{-1} y) with y = Im(v).
 
     Multiplying |theta| by it gives a magnitude invariant under lattice
     translations (the automorphy factor has modulus exactly the ratio of
     the weights), so values at different torsion points become comparable
-    even when Im(Z) is strongly anisotropic.
+    even when Im(Z) is strongly anisotropic.  A float for a point, an (n,)
+    array for an (n, 2) array of points.
     """
-    Y = Z.imag_part()
-    y = np.array([complex(v[0]).imag, complex(v[1]).imag])
-    return float(np.exp(-np.pi * (y @ np.linalg.solve(Y, y))))
+    w = np.exp(-_log_peak(Z, v))
+    return float(w) if np.ndim(w) == 0 else w
 
 # fixed torus coordinates used to probe the overall magnitude of the odd
 # section; deterministic so that repeated scans agree bit-for-bit
@@ -112,38 +111,36 @@ class ScanResult:
         return min(nonvanishing) / max(max(vanishing), 5e-324)
 
 
+def _points(pts) -> np.ndarray:
+    """Points as an (n, 2) complex array, one per row, for a batched call."""
+    return np.array(pts, dtype=complex).reshape(-1, 2)
+
+
 def two_torsion_scan(
     Z: PeriodMatrix,
     settings: EvalSettings = EvalSettings(),
     shift: tuple[complex, complex] | None = None,
 ) -> ScanResult:
     """Evaluate the odd section and its gradient at the 16 two-torsion
-    points (optionally translated by `shift`) and classify each point."""
-    evals = []
-    for label, pt in two_torsion_points(Z):
-        if shift is not None:
-            pt = pt.shift(shift)
-        val, grad = odd_theta_with_gradient(pt, Z, settings)
-        w = canonical_weight(Z, pt)
-        evals.append(
-            (label, pt, w * abs(val), w * float(np.hypot(abs(grad[0]), abs(grad[1]))))
-        )
+    points (optionally translated by `shift`) and classify each point.
 
-    probe_vals, probe_grads = [], []
-    for x1, x2, y1, y2 in _PROBE_COORDS:
-        pt = SurfacePoint.from_torus_coords(Z, (x1, x2), (y1, y2))
-        if shift is not None:
-            pt = pt.shift(shift)
-        val, grad = odd_theta_with_gradient(pt, Z, settings)
-        w = canonical_weight(Z, pt)
-        probe_vals.append(w * abs(val))
-        probe_grads.append(w * float(np.hypot(abs(grad[0]), abs(grad[1]))))
-
-    value_scale = max(max(e[2] for e in evals), max(probe_vals))
-    grad_scale = max(max(e[3] for e in evals), max(probe_grads))
+    The torsion points and the probes go to the evaluator in one call."""
+    torsion = two_torsion_points(Z)
+    probes = [
+        SurfacePoint.from_torus_coords(Z, (x1, x2), (y1, y2))
+        for x1, x2, y1, y2 in _PROBE_COORDS
+    ]
+    pts = _points([pt for _, pt in torsion] + probes)
+    if shift is not None:
+        pts += np.array(shift, dtype=complex)
+    val, (g1, g2) = odd_theta_with_gradient(pts, Z, settings)
+    w = canonical_weight(Z, pts)
+    values = w * np.abs(val)
+    grads = w * np.hypot(np.abs(g1), np.abs(g2))
+    value_scale, grad_scale = float(values.max()), float(grads.max())
 
     records = []
-    for label, pt, a, g in evals:
+    for (label, _), pt, a, g in zip(torsion, pts, values.tolist(), grads.tolist()):
         if a < VALUE_RATIO * value_scale:
             kind = (
                 ScanKind.EVEN_VANISHING
@@ -152,7 +149,7 @@ def two_torsion_scan(
             )
         else:
             kind = ScanKind.NON_VANISHING
-        records.append(ScanRecord(label, pt, a, g, kind))
+        records.append(ScanRecord(label, SurfacePoint(*pt.tolist()), a, g, kind))
     return ScanResult(records, value_scale, grad_scale)
 
 
@@ -210,59 +207,51 @@ def quasi_periodicity_check(
     survives.
     """
     rng = np.random.default_rng(seed)
-    samples = [random_point(Z, rng) for _ in range(n_samples)]
-    base = [odd_theta(v, Z, settings) for v in samples]
-    weights = [canonical_weight(Z, v) for v in samples]
-    scale = max(w * abs(t) for w, t in zip(weights, base))
+    samples = _points([random_point(Z, rng) for _ in range(n_samples)])
+    periods = half_periods(Z)
+    # the samples and their three translates in one call
+    vals = odd_theta(
+        np.concatenate([samples] + [samples + np.array(w) for w in periods.values()]),
+        Z, settings,
+    )
+    base, *translates = np.split(vals, 1 + len(periods))
+    shifted = dict(zip(periods, translates))
+    weights = canonical_weight(Z, samples)
+    scale = float(np.max(weights * np.abs(base)))
     if scale == 0.0:
         raise DegenerateSample("odd section vanished at every sample point")
     floor = 1e-8 * scale
 
-    periods = half_periods(Z)
-    shifted = {
-        name: [odd_theta(v.shift(w), Z, settings) for v in samples]
-        for name, w in periods.items()
-    }
+    local = np.maximum(np.abs(base), np.abs(shifted["w1"]))
+    ok = weights * local >= floor
+    w1_res = float((np.abs(shifted["w1"] + base)[ok] / local[ok]).max(initial=0.0))
 
-    w1_res = 0.0
-    for w, t0, t1 in zip(weights, base, shifted["w1"]):
-        local = max(abs(t0), abs(t1))
-        if w * local >= floor:
-            w1_res = max(w1_res, abs(t1 + t0) / local)
-
+    admissible = weights * np.abs(base) >= floor
     constants: dict[str, HalfPeriodConstant] = {}
     for name in ("w1", "w2", "w1+w2"):
-        comp = 1.0 if name == "w1" else None
-        ratios = []
-        for v, w, t0, t1 in zip(samples, weights, base, shifted[name]):
-            if w * abs(t0) < floor:
-                continue
-            c = comp if comp is not None else cmath.exp(1j * cmath.pi * v.v2)
-            ratios.append(c * t1 / t0)
-        if not ratios:
+        ratios = shifted[name][admissible] / base[admissible]
+        if name != "w1":
+            ratios *= np.exp(1j * np.pi * samples[admissible, 1])
+        if not ratios.size:
             raise DegenerateSample(f"no admissible samples for the {name} ratio")
-        mean = sum(ratios) / len(ratios)
-        spread = max(abs(r - mean) for r in ratios)
-        constants[name] = HalfPeriodConstant(mean, spread, len(ratios))
+        mean = complex(ratios.mean())
+        spread = float(np.max(np.abs(ratios - mean)))
+        constants[name] = HalfPeriodConstant(mean, spread, int(ratios.size))
 
+    # automorphy at the first three samples v over lam = Z m + D n, m and n
+    # in {-1, 0, 1}^2: all 3 x 9 x 9 points v + lam in one call
     Zm = Z.as_matrix()
-    auto_res = 0.0
-    for v, t0 in list(zip(samples, base))[:3]:
-        vv = np.array([v.v1, v.v2])
-        for m1 in (-1, 0, 1):
-            for m2 in (-1, 0, 1):
-                for n1 in (-1, 0, 1):
-                    for n2 in (-1, 0, 1):
-                        m = np.array([m1, m2], dtype=float)
-                        lam = Zm @ m + np.array([n1, 4.0 * n2])
-                        vs = v.shift((lam[0], lam[1]))
-                        t1 = odd_theta(vs, Z, settings)
-                        fac = cmath.exp(
-                            -1j * cmath.pi * (m @ Zm @ m) - 2j * cmath.pi * (m @ vv)
-                        )
-                        ws = canonical_weight(Z, vs)
-                        local = max(ws * abs(t1), ws * abs(fac * t0), floor)
-                        auto_res = max(auto_res, ws * abs(t1 - fac * t0) / local)
+    v = samples[:3]
+    unit = np.array([(a, b) for a in (-1, 0, 1) for b in (-1, 0, 1)], dtype=float)
+    lam = (unit @ Zm.T)[:, None, :] + (unit * (1.0, 4.0))[None, :, :]  # (m, n, 2)
+    vs = (v[:, None, None, :] + lam).reshape(-1, 2)                     # (v, m, n)
+    got = odd_theta(vs, Z, settings).reshape(3, 9, 9)
+    mZm = np.einsum("mi,ij,mj->m", unit, Zm, unit)
+    factor = np.exp(-1j * np.pi * mZm - 2j * np.pi * (v @ unit.T))     # (v, m)
+    want = factor[:, :, None] * base[:3, None, None]
+    ws = canonical_weight(Z, vs).reshape(got.shape)
+    local = np.maximum(np.maximum(ws * np.abs(got), ws * np.abs(want)), floor)
+    auto_res = float(np.max(ws * np.abs(got - want) / local))
 
     return QuasiPeriodicityReport(w1_res, constants, auto_res, scale, floor)
 
@@ -309,10 +298,10 @@ def minus_one_action(
     has condition number above 1e8.
     """
     rng = np.random.default_rng(seed)
-    pts = [random_point(Z, rng) for _ in range(n_points)]
-    w = np.array([canonical_weight(Z, v) for v in pts])[:, None]
-    B_pos = w * np.array([theta_basis(v, Z, settings) for v in pts])  # n x 4
-    B_neg = w * np.array([theta_basis(-v, Z, settings) for v in pts])
+    pts = _points([random_point(Z, rng) for _ in range(n_points)])
+    w = canonical_weight(Z, pts)[:, None]
+    B = theta_basis(np.concatenate([pts, -pts]), Z, settings)  # 2n x 4
+    B_pos, B_neg = w * B[:n_points], w * B[n_points:]
     cond = float(np.linalg.cond(B_pos))
     if cond > 1e8:
         raise IllConditioned(f"sample matrix condition number {cond:.3g}")
@@ -387,33 +376,25 @@ def product_case_components(
         ("v2=2+tau2/2", 2.0 + tau2 / 2.0),
     ]
 
-    components = []
-    st = rng.uniform(0.0, 1.0, size=(n_samples, 2))
-
-    vals, ctrl = [], []
-    for s, t in st:
-        v2 = s * tau2 + 4.0 * t
-        vals.append(abs(odd_theta((fibre_v1, v2), Z, settings)))
-        ctrl.append(abs(odd_theta((fibre_v1 + 0.27, v2), Z, settings)))
-    components.append(
-        ComponentRecord(
-            "moving", "v1 = (1+tau1)/2", n_samples, max(vals), min(ctrl)
-        )
-    )
-
+    # each component's points and their displaced controls, then 20
+    # generic points, all in one call; rng draws keep their order
+    n = n_samples
+    s, t = rng.uniform(0.0, 1.0, size=(n, 2)).T
+    moving = np.column_stack([np.full(n, fibre_v1), s * tau2 + 4.0 * t])
+    sets = [("moving", "v1 = (1+tau1)/2", moving, moving + (0.27, 0.0))]
     for label, v2star in horizontals:
-        vals, ctrl = [], []
-        for s, t in rng.uniform(0.0, 1.0, size=(n_samples, 2)):
-            v1 = s * tau1 + t
-            vals.append(abs(odd_theta((v1, v2star), Z, settings)))
-            ctrl.append(abs(odd_theta((v1, v2star + 0.31), Z, settings)))
-        components.append(
-            ComponentRecord(label, f"v2 = {v2star}", n_samples, max(vals), min(ctrl))
-        )
-
-    generic_scale = max(
-        abs(odd_theta(random_point(Z, rng), Z, settings)) for _ in range(20)
-    )
+        s, t = rng.uniform(0.0, 1.0, size=(n, 2)).T
+        on = np.column_stack([s * tau1 + t, np.full(n, v2star)])
+        sets.append((label, f"v2 = {v2star}", on, on + (0.0, 0.31)))
+    generic = _points([random_point(Z, rng) for _ in range(20)])
+    blocks = [b for _, _, on, ctrl in sets for b in (on, ctrl)]
+    vals = np.abs(odd_theta(np.concatenate(blocks + [generic]), Z, settings))
+    on_ctrl = vals[:-len(generic)].reshape(len(sets), 2, n)
+    components = [
+        ComponentRecord(label, desc, n, float(on.max()), float(ctrl.min()))
+        for (label, desc, *_), (on, ctrl) in zip(sets, on_ctrl)
+    ]
+    generic_scale = float(vals[-len(generic):].max())
     scan = two_torsion_scan(Z, settings)
     report = ProductCaseReport(components, generic_scale, scan)
     report.node_labels = frozenset(scan.labels(ScanKind.EVEN_VANISHING))

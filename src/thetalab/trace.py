@@ -6,9 +6,11 @@ lattice z11 Z + Z, so v1 runs over an N x N grid on its fundamental
 parallelogram; along the fibre only the generator D e2 = (0, 4) survives,
 so solutions in v2 are reduced modulo 4.  Each grid line is solved by a
 damped complex Newton iteration seeded from the twelve simple two-torsion
-points of the curve and from the previous line's solutions; the emitted
-cloud is closed under v -> -v (realised as v -> Z e1 + D e1 - v, which
-maps the chart to itself) with every added point re-verified numerically.
+points of the curve and from the previous line's solutions.  The emitted
+cloud is closed under v -> -v, realised as v -> Z e1 + D e1 - v, which maps
+the chart to itself.  That symmetry of the curve is exact, so a mirror point
+is accepted on its source's certificate; it is still evaluated, in one
+batched call, to fill its value and gradient columns.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .siegel import EvalSettings, PeriodMatrix, two_torsion_points
-from .surface import ScanKind, two_torsion_scan
+from .surface import ScanKind, _points, two_torsion_scan
 from .theta import odd_theta, odd_theta_with_gradient
 
 
@@ -94,9 +96,10 @@ def trace_curve(
 ) -> TraceResult:
     """Trace the curve over an N x N grid of v1 values.
 
-    Every emitted point satisfies |theta_A| < settings.tol (re-verified for
-    the symmetry-completed points as well).  Lines where no seed converges
-    are recorded as failures, not raised.
+    Every torsion seed and Newton solution satisfies |theta_A| <
+    settings.tol; their mirror images under v -> Z e1 + D e1 - v are added
+    on that certificate, with the values evaluated there in their columns.
+    Lines where no seed converges are recorded as failures, not raised.
     """
     N = int(grid_size)
     tol_abs = settings.tol
@@ -107,14 +110,12 @@ def trace_curve(
 
     seed_v2: list[complex] = []
     points: list[TracePoint] = []
-    for label in sorted(simple):
-        pt = torsion[label]
-        t, (g1, g2) = odd_theta_with_gradient(pt, Z, settings)
-        if abs(t) < tol_abs:
-            points.append(
-                TracePoint((-1, -1), pt.v1, _reduce_mod4(pt.v2), abs(t),
-                           float(np.hypot(abs(g1), abs(g2))))
-            )
+    seeds = [torsion[label] for label in sorted(simple)]
+    t, (g1, g2) = odd_theta_with_gradient(_points(seeds), Z, settings)
+    grad = np.hypot(np.abs(g1), np.abs(g2))
+    for pt, a, g in zip(seeds, np.abs(t).tolist(), grad.tolist()):
+        if a < tol_abs:
+            points.append(TracePoint((-1, -1), pt.v1, _reduce_mod4(pt.v2), a, g))
         u = _reduce_mod4(pt.v2)
         if not _is_duplicate(u, seed_v2, tol=1e-3):
             seed_v2.append(u)
@@ -146,7 +147,8 @@ def trace_curve(
     by_line: dict[tuple[int, int], list[complex]] = {}
     for p in points:
         by_line.setdefault(p.line, []).append(p.v2)
-    for p in list(points):
+    mirrors = []
+    for p in points:
         if p.line == (-1, -1):
             continue
         i, j = p.line
@@ -156,16 +158,14 @@ def trace_curve(
         # s-index actually wraps, and it shifts v2 by z12
         a = 1.0 if i != 0 else 0.0
         mv2 = _reduce_mod4(a * Z.z12 - p.v2)
-        if _is_duplicate(mv2, by_line.get((mi, mj), [])):
-            continue
-        t, (g1, g2) = odd_theta_with_gradient((mv1, mv2), Z, settings)
-        calls += 1
-        if abs(t) < tol_abs:
-            points.append(
-                TracePoint((mi, mj), mv1, mv2, abs(t),
-                           float(np.hypot(abs(g1), abs(g2))))
-            )
+        if not _is_duplicate(mv2, by_line.get((mi, mj), [])):
+            mirrors.append(((mi, mj), mv1, mv2))
             by_line.setdefault((mi, mj), []).append(mv2)
+    t, (g1, g2) = odd_theta_with_gradient(_points([m[1:] for m in mirrors]), Z, settings)
+    calls += len(mirrors)
+    grad = np.hypot(np.abs(g1), np.abs(g2))
+    for (line, mv1, mv2), a, g in zip(mirrors, np.abs(t).tolist(), grad.tolist()):
+        points.append(TracePoint(line, mv1, mv2, a, g))
 
     points.sort(key=lambda p: (p.line, p.v2.real, p.v2.imag))
     return TraceResult(N, points, failures, calls)

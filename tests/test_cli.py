@@ -2,6 +2,7 @@
 
 import json
 
+import numpy as np
 import pytest
 
 from thetalab import cli
@@ -37,6 +38,22 @@ def test_parse_complex_forms():
 def test_format_complex_round_trips():
     for z in (1 + 2j, -0.125j, 3.0 + 0j, -1.5 - 2.25j):
         assert parse_complex(format_complex(z)) == z
+    # numpy scalars print like Python numbers, not as np.float64(...)
+    for z in (np.complex128(0.1 - 2.5j), np.float64(0.75)):
+        assert format_complex(z) == format_complex(complex(z))
+        assert parse_complex(format_complex(z)) == z
+
+
+def test_verify_surface_M_round_trips(capsys):
+    code, out, _ = run(capsys, ["verify-surface", "--random", "--seed", "7"])
+    assert code == 0
+    report = json.loads(out)
+    M = parse_complex(report["extras"]["M"])
+    assert M != 0
+    assert format_complex(M) == report["extras"]["M"]
+    detail = next(c["detail"] for c in report["checks"]
+                  if c["name"] == "w2_translation_constant")
+    assert f"M={report['extras']['M']} " in detail
 
 
 def test_load_period_matrix(tmp_path):

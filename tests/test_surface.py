@@ -225,6 +225,7 @@ def test_degenerate_sample_guard(Z0, settings, monkeypatch):
     # the guard fires when the section evaluates to zero at every sample
     import thetalab.surface as surface
 
-    monkeypatch.setattr(surface, "odd_theta", lambda *a, **k: 0.0j)
+    # the stub answers a batched call with zeros shaped like its points
+    monkeypatch.setattr(surface, "odd_theta", lambda v, *a, **k: np.zeros(len(v), complex))
     with pytest.raises(DegenerateSample):
         quasi_periodicity_check(Z0, settings, n_samples=5)

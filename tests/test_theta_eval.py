@@ -9,9 +9,12 @@ lattice sum and the truncation-radius estimate.
 """
 
 import cmath
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings as hsettings
+from hypothesis import strategies as st
 from mpmath import jtheta, mp, mpc
 
 from thetalab import (
@@ -94,10 +97,117 @@ def test_generic_matrix_against_direct_sum(Z0, chi):
         assert got == pytest.approx(want, rel=1e-11, abs=1e-13)
 
 
+def test_array_call_against_direct_sum(Z0):
+    chi = ThetaCharacteristic(("1/2", "1/4"), ("1/2", "3/4"))
+    V = np.array([(0.2 + 0.1j, 0.3 - 0.05j), (-0.4 + 0.3j, 1.1 + 0.2j), (0.7, -0.6 + 0.9j)])
+    got = theta_char(chi, V, Z0)
+    assert got.shape == (3,)
+    for g, v in zip(got, V):
+        assert g == pytest.approx(reference_theta(chi, v, Z0), rel=1e-11, abs=1e-13)
+
+
 def test_frozen_regression_value(Z0):
     got = odd_theta((0.31 + 0.12j, -0.2 + 0.45j), Z0)
     want = 0.4779926363854756 + 0.029452518355850443j
     assert abs(got - want) < 1e-12
+
+
+# ---------------------------------------------------------------------------
+# arrays of points against single points
+
+
+TOLS = [1e-6, 1e-8, 1e-10, 1e-12, 1e-14]
+CHIS = [quarter_characteristic(k) for k in range(4)] + [
+    ThetaCharacteristic(("1/2", "1/4"), ("1/2", "3/4"))
+]
+
+
+@st.composite
+def batches(draw, shared_imag):
+    """(Z, V, tol): V is (n, 2) with Gaussian centre shifts Y^-1 Im v of
+    Euclidean length up to 10, all equal when shared_imag.  Im Z has
+    eigenvalues in about [0.25, 1.8], so no term leaves double range."""
+    x = [draw(st.floats(-0.5, 0.5)) for _ in range(3)]
+    a, c = draw(st.floats(0.5, 1.2)), draw(st.floats(0.5, 1.2))
+    b = draw(st.floats(-0.5, 0.5)) * math.sqrt(a * c)
+    Z = PeriodMatrix(complex(x[0], a), complex(x[1], b), complex(x[2], c))
+    n = draw(st.integers(1, 5))
+    centre = st.tuples(st.floats(0.0, 10.0), st.floats(0.0, 2 * math.pi))
+    polar = [draw(centre)] * n if shared_imag else [draw(centre) for _ in range(n)]
+    u = np.array([(r * math.cos(t), r * math.sin(t)) for r, t in polar])
+    re = np.array([[draw(st.floats(-2.0, 2.0)) for _ in range(2)] for _ in range(n)])
+    V = re + 1j * (u @ Z.imag_part())
+    return Z, V, draw(st.sampled_from(TOLS))
+
+
+def _envelope_peak(Z, v):
+    """exp(pi y^T Y^-1 y), y = Im v: no term of a theta sum at v is larger."""
+    y = np.imag(v)
+    return math.exp(math.pi * y @ np.linalg.solve(Z.imag_part(), y))
+
+
+def _batch_radius(Z, V, chis, tol, grad_order):
+    """The radius the batch rule picks: truncation_radius at the largest
+    centre shift c1 + Y^-1 Im v over the rows and the characteristics."""
+    u = np.linalg.solve(Z.imag_part(), np.imag(V).T)
+    shift = max(float(np.abs(np.array(chi.c1_floats())[:, None] + u).max()) for chi in chis)
+    return truncation_radius(Z.min_imag_eigenvalue(), shift, tol, 64, grad_order)
+
+
+def _odd_with_grad(v, Z, s, radius=None):
+    t, (g1, g2) = odd_theta_with_gradient(v, Z, s, radius)
+    return np.array([t, g1, g2])
+
+
+@hsettings(max_examples=40, deadline=None)
+@given(batches(shared_imag=True), st.sampled_from(CHIS))
+def test_array_call_matches_single_points(batch, chi):
+    # rows that share Im v share the radius, so entry i of an array call
+    # must be the single-point call at V[i] up to rounding
+    Z, V, tol = batch
+    s = EvalSettings(tol=tol)
+    arrays = [theta_char(chi, V, Z, s), odd_theta(V, Z, s), theta_basis(V, Z, s),
+              _odd_with_grad(V, Z, s).T]
+    for i, v in enumerate(V):
+        p = (complex(v[0]), complex(v[1]))
+        singles = [theta_char(chi, p, Z, s), odd_theta(p, Z, s), theta_basis(p, Z, s),
+                   _odd_with_grad(p, Z, s)]
+        bound = 1e-14 * _envelope_peak(Z, v)
+        for arr, single in zip(arrays, singles):
+            assert np.max(np.abs(arr[i] - np.asarray(single))) <= bound
+
+
+@hsettings(max_examples=40, deadline=None)
+@given(batches(shared_imag=False), st.sampled_from(CHIS))
+def test_array_radius_is_taken_at_the_largest_shift(batch, chi):
+    # a batch is summed at the radius of its largest centre shift, which
+    # certifies every row at least as well as its own radius would
+    Z, V, tol = batch
+    s = EvalSettings(tol=tol)
+    odd = (quarter_characteristic(3), OMEGA)
+    r_chi = _batch_radius(Z, V, (chi,), tol, 0)
+    r_odd = _batch_radius(Z, V, odd, tol, 0)
+    r_grad = _batch_radius(Z, V, odd, tol, 1)
+    r_basis = _batch_radius(Z, V, CHIS[:4], tol, 0)
+    arrays = [theta_char(chi, V, Z, s), odd_theta(V, Z, s), theta_basis(V, Z, s),
+              _odd_with_grad(V, Z, s).T]
+    for i, v in enumerate(V):
+        p = (complex(v[0]), complex(v[1]))
+        singles = [theta_char(chi, p, Z, s, r_chi), odd_theta(p, Z, s, r_odd),
+                   [theta_char(c, p, Z, s, r_basis) for c in CHIS[:4]],
+                   _odd_with_grad(p, Z, s, r_grad)]
+        bound = 1e-14 * _envelope_peak(Z, v)
+        for arr, single in zip(arrays, singles):
+            assert np.max(np.abs(arr[i] - np.asarray(single))) <= bound
+
+
+def test_array_shapes(Z0):
+    V = np.array([(0.1 + 0.2j, 0.3), (0.4, -0.5 + 0.1j)])
+    assert odd_theta(V, Z0).shape == (2,)
+    assert theta_basis(V, Z0).shape == (2, 4)
+    t, (g1, g2) = odd_theta_with_gradient(V, Z0)
+    assert t.shape == g1.shape == g2.shape == (2,)
+    assert odd_theta(np.empty((0, 2), complex), Z0).shape == (0,)
 
 
 # ---------------------------------------------------------------------------
@@ -196,6 +306,18 @@ def test_truncation_radius_grows_with_gradient_order():
 def test_radius_exceeded_raised_for_flat_matrix():
     with pytest.raises(RadiusExceeded):
         truncation_radius(1e-4, 0.5, 1e-12, 8)
+
+
+def test_overflow_raises_instead_of_nan():
+    # Im v2 = 20 puts the Gaussian peak at exp(1132), beyond double range,
+    # while the radius still fits
+    Z = PeriodMatrix(0.1 + 1j, 0.05 + 0.3j, -0.2 + 1.2j)
+    with pytest.raises(OverflowError, match="1132"):
+        odd_theta((0.3, 0.1 + 20j), Z)
+    with pytest.raises(OverflowError, match=r"\(0\.1\+20j\)"):
+        odd_theta(np.array([(0.3, 0.1 + 0.2j), (0.3, 0.1 + 20j)]), Z)
+    with pytest.raises(OverflowError):
+        odd_theta_with_gradient((0.3, 0.1 + 20j), Z)
 
 
 def test_small_eigenvalue_needs_large_radius():

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from thetalab import PeriodMatrix, odd_theta, trace_curve
+from thetalab import PeriodMatrix, odd_theta, random_period_matrix, trace_curve
 from thetalab.trace import _reduce_mod4
 
 
@@ -47,27 +47,40 @@ def test_trace_deterministic(Z0, settings):
     ]
 
 
-def test_trace_closed_under_negation(Z0, settings):
+def _assert_closed_under_negation(res, Z):
     # the emitted cloud is closed under the curve symmetry v -> -v up to
     # lattice translation: for each solution on line i the mirror
     # a*z12 - v2 (a = 1 off the i=0 column, 0 on it) appears on the
     # mirrored line
-    res = trace_curve(Z0, settings, grid_size=4)
+    n = res.grid_size
     by_line = {}
     for p in res.points:
         if p.line != (-1, -1):
             by_line.setdefault(p.line, []).append(p.v2)
     for (i, j), v2s in by_line.items():
-        mi = (-i) % 4
-        mj = (-j) % 4
+        mi = (-i) % n
+        mj = (-j) % n
         a = 1.0 if i != 0 else 0.0
         mirror = by_line.get((mi, mj), [])
         for v2 in v2s:
-            mv2 = _reduce_mod4(a * Z0.z12 - v2)
+            mv2 = _reduce_mod4(a * Z.z12 - v2)
             assert any(
                 abs(m - mv2) < 1e-6 or abs(abs(m - mv2).real - 4.0) < 1e-6
                 for m in mirror
             )
+
+
+def test_trace_closed_under_negation(Z0, settings):
+    _assert_closed_under_negation(trace_curve(Z0, settings, grid_size=4), Z0)
+
+
+def test_trace_closure_keeps_mirrors_of_tiny_values():
+    # draw 1 has a solution whose mirror evaluates to |theta_A| ~ 1.5e-12,
+    # above the default tol; the mirror is kept on its source's certificate
+    Z = random_period_matrix(np.random.default_rng(1))
+    res = trace_curve(Z, grid_size=4)
+    _assert_closed_under_negation(res, Z)
+    assert max(p.abs_theta for p in res.points) > 1e-12
 
 
 def test_trace_no_duplicates_within_line(Z0, settings):
