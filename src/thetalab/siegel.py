@@ -136,12 +136,15 @@ class ThetaCharacteristic:
                 if 4 % x.denominator:
                     raise OutOfRange(f"characteristic entry {x} has denominator not dividing 4")
             object.__setattr__(self, name, entries)
+            # every theta evaluation reads the float form, several times per
+            # point; converting a Fraction costs about a microsecond
+            object.__setattr__(self, f"_{name}_floats", tuple(map(float, entries)))
 
     def c1_floats(self) -> tuple[float, float]:
-        return (float(self.c1[0]), float(self.c1[1]))
+        return self._c1_floats
 
     def c2_floats(self) -> tuple[float, float]:
-        return (float(self.c2[0]), float(self.c2[1]))
+        return self._c2_floats
 
 
 def quarter_characteristic(k: int) -> ThetaCharacteristic:

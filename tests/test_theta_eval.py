@@ -201,6 +201,18 @@ def test_array_radius_is_taken_at_the_largest_shift(batch, chi):
             assert np.max(np.abs(arr[i] - np.asarray(single))) <= bound
 
 
+def test_large_array_matches_single_points(Z0, rng):
+    # 600 rows at radius 4 exceed one slice of the batch; rows that share
+    # Im v share the radius, so every entry is the single call bit for bit
+    V = rng.uniform(-2.0, 2.0, size=(600, 2)) + 1j * np.array([0.3, -0.2])
+    t, (g1, g2) = odd_theta_with_gradient(V, Z0)
+    basis = theta_basis(V, Z0)
+    for i, v in enumerate(V):
+        p = (complex(v[0]), complex(v[1]))
+        assert (t[i], (g1[i], g2[i])) == odd_theta_with_gradient(p, Z0)
+        assert list(basis[i]) == theta_basis(p, Z0)
+
+
 def test_array_shapes(Z0):
     V = np.array([(0.1 + 0.2j, 0.3), (0.4, -0.5 + 0.1j)])
     assert odd_theta(V, Z0).shape == (2,)
