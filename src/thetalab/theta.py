@@ -44,7 +44,7 @@ from .siegel import (
 
 
 # one point (v1, v2), or an (n, 2) complex array with one point per row
-Points = SurfacePoint | tuple[complex, complex] | np.ndarray
+_Points = SurfacePoint | tuple[complex, complex] | np.ndarray
 
 
 def kernel_backend() -> str:
@@ -174,7 +174,7 @@ def _overflow(Z: PeriodMatrix, v) -> OverflowError:
 
 def theta_char(
     chi: ThetaCharacteristic,
-    v: Points,
+    v: _Points,
     Z: PeriodMatrix,
     settings: EvalSettings = EvalSettings(),
     radius: int | None = None,
@@ -192,7 +192,7 @@ _BASIS = tuple(quarter_characteristic(k) for k in range(4))
 
 
 def odd_theta(
-    v: Points,
+    v: _Points,
     Z: PeriodMatrix,
     settings: EvalSettings = EvalSettings(),
     radius: int | None = None,
@@ -207,7 +207,7 @@ def odd_theta(
 
 
 def odd_theta_gradient(
-    v: Points,
+    v: _Points,
     Z: PeriodMatrix,
     settings: EvalSettings = EvalSettings(),
     radius: int | None = None,
@@ -219,7 +219,7 @@ def odd_theta_gradient(
 
 
 def odd_theta_with_gradient(
-    v: Points,
+    v: _Points,
     Z: PeriodMatrix,
     settings: EvalSettings = EvalSettings(),
     radius: int | None = None,
@@ -232,7 +232,7 @@ def odd_theta_with_gradient(
 
 
 def theta_basis(
-    v: Points,
+    v: _Points,
     Z: PeriodMatrix,
     settings: EvalSettings = EvalSettings(),
 ):
