@@ -29,7 +29,6 @@ from .siegel import (
 )
 from .surface import (
     ScanKind,
-    _points,
     four_copy_scan,
     four_copy_summary,
     minus_one_action,
@@ -37,7 +36,7 @@ from .surface import (
     quasi_periodicity_check,
     two_torsion_scan,
 )
-from .theta import kernel_backend, odd_theta, quarter_characteristic, theta_char
+from .theta import _points, kernel_backend, odd_theta, quarter_characteristic, theta_char
 from .trace import trace_curve
 from .twotorsion import (
     KleinSubgroup,

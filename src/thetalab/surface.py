@@ -25,7 +25,7 @@ from .siegel import (
     random_point,
     two_torsion_points,
 )
-from .theta import _log_peak, odd_theta, odd_theta_with_gradient, theta_basis
+from .theta import _log_peak, _points, odd_theta, odd_theta_with_gradient, theta_basis
 
 # classification thresholds, relative to the scan's scale
 VALUE_RATIO = 1e-6
@@ -109,11 +109,6 @@ class ScanResult:
         if not vanishing or not nonvanishing:
             return float("inf")
         return min(nonvanishing) / max(max(vanishing), 5e-324)
-
-
-def _points(pts) -> np.ndarray:
-    """Points as an (n, 2) complex array, one per row, for a batched call."""
-    return np.array(pts, dtype=complex).reshape(-1, 2)
 
 
 def two_torsion_scan(
@@ -238,14 +233,14 @@ def quasi_periodicity_check(
         spread = float(np.max(np.abs(ratios - mean)))
         constants[name] = HalfPeriodConstant(mean, spread, int(ratios.size))
 
-    # automorphy at the first three samples v over lam = Z m + D n, m and n
-    # in {-1, 0, 1}^2: all 3 x 9 x 9 points v + lam in one call
+    # automorphy at the first (up to) three samples v over lam = Z m + D n,
+    # m and n in {-1, 0, 1}^2: all 9 x 9 points v + lam per sample in one call
     Zm = Z.as_matrix()
     v = samples[:3]
     unit = np.array([(a, b) for a in (-1, 0, 1) for b in (-1, 0, 1)], dtype=float)
     lam = (unit @ Zm.T)[:, None, :] + (unit * (1.0, 4.0))[None, :, :]  # (m, n, 2)
     vs = (v[:, None, None, :] + lam).reshape(-1, 2)                     # (v, m, n)
-    got = odd_theta(vs, Z, settings).reshape(3, 9, 9)
+    got = odd_theta(vs, Z, settings).reshape(len(v), 9, 9)
     mZm = np.einsum("mi,ij,mj->m", unit, Zm, unit)
     factor = np.exp(-1j * np.pi * mZm - 2j * np.pi * (v @ unit.T))     # (v, m)
     want = factor[:, :, None] * base[:3, None, None]

@@ -17,9 +17,7 @@ array of points, one per row, and then returns arrays indexed by row.  A
 batch is summed over one box whose radius is the one `truncation_radius`
 picks at the largest Gaussian-centre shift among its rows: the tail
 majorant grows with the shift, so every row keeps at least the certificate
-it would get alone.  The rows go to the kernel in slices of at most
-`_SLICE_TERMS` lattice terms, which bounds the batch's temporaries whatever
-its size.  A sum that leaves the double range (a Gaussian peak
+it would get alone.  A sum that leaves the double range (a Gaussian peak
 exp(pi y^T Y^-1 y) beyond about 1e308, y = Im v) raises OverflowError
 instead of returning nan.
 """
@@ -90,13 +88,13 @@ def truncation_radius(
     )
 
 
-# a batch is summed a slice of rows at a time, each slice's grids holding at
-# most this many terms, so its temporaries stay near 256 KB at any size
-_SLICE_TERMS = 1 << 14
-
-
 def _is_batch(v) -> bool:
     return isinstance(v, np.ndarray) and v.ndim == 2
+
+
+def _points(pts) -> np.ndarray:
+    """Points as an (n, 2) complex array, one per row, for a batched call."""
+    return np.array(pts, dtype=complex).reshape(-1, 2)
 
 
 def _log_peak(Z: PeriodMatrix, v):
@@ -140,13 +138,6 @@ def _evaluate(chis, v, Z: PeriodMatrix, settings: EvalSettings, radius, grad_ord
         v1, v2 = v[0], v[1]
     if radius is None:
         radius = _radius_for(Z, chis, v, settings, grad_order)
-    rows = max(1, _SLICE_TERMS // (2 * radius + 1) ** 2) if batch else 1
-    if batch and len(v) > rows:
-        parts = [_evaluate(chis, v[i:i + rows], Z, settings, radius, grad_order)
-                 for i in range(0, len(v), rows)]
-        if grad_order:
-            return [tuple(map(np.concatenate, zip(*p))) for p in zip(*parts)]
-        return [np.concatenate(p) for p in zip(*parts)]
     kernel = _KERNEL.theta_sum_grad if grad_order else _KERNEL.theta_sum
     out = []
     with np.errstate(over="ignore", invalid="ignore"):

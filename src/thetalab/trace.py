@@ -9,8 +9,12 @@ damped complex Newton iteration seeded from the twelve simple two-torsion
 points of the curve and from the previous line's solutions.  The emitted
 cloud is closed under v -> -v, realised as v -> Z e1 + D e1 - v, which maps
 the chart to itself.  That symmetry of the curve is exact, so a mirror point
-is accepted on its source's certificate; it is still evaluated, in one
-batched call, to fill its value and gradient columns.
+is accepted on its source's certificate.  The mirrors are still evaluated,
+in one batched call, to fill their value and gradient columns, and that
+call checks the mapping: the canonically weighted modulus w(v)|theta_A(v)|
+is invariant under the symmetry, so a mirror whose weighted value differs
+from its source's by more than the two truncation errors is recorded as a
+failure instead of being emitted.
 """
 
 from __future__ import annotations
@@ -20,8 +24,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .siegel import EvalSettings, PeriodMatrix, two_torsion_points
-from .surface import ScanKind, _points, two_torsion_scan
-from .theta import odd_theta, odd_theta_with_gradient
+from .surface import ScanKind, canonical_weight, two_torsion_scan
+from .theta import _points, odd_theta, odd_theta_with_gradient
 
 
 @dataclass(frozen=True)
@@ -99,7 +103,8 @@ def trace_curve(
     Every torsion seed and Newton solution satisfies |theta_A| <
     settings.tol; their mirror images under v -> Z e1 + D e1 - v are added
     on that certificate, with the values evaluated there in their columns.
-    Lines where no seed converges are recorded as failures, not raised.
+    Lines where no seed converges, and mirrors whose weighted |theta_A|
+    disagrees with their source's, are recorded as failures, not raised.
     """
     N = int(grid_size)
     tol_abs = settings.tol
@@ -148,6 +153,7 @@ def trace_curve(
     for p in points:
         by_line.setdefault(p.line, []).append(p.v2)
     mirrors = []
+    sources: list[TracePoint] = []
     for p in points:
         if p.line == (-1, -1):
             continue
@@ -160,12 +166,23 @@ def trace_curve(
         mv2 = _reduce_mod4(a * Z.z12 - p.v2)
         if not _is_duplicate(mv2, by_line.get((mi, mj), [])):
             mirrors.append(((mi, mj), mv1, mv2))
+            sources.append(p)
             by_line.setdefault((mi, mj), []).append(mv2)
-    t, (g1, g2) = odd_theta_with_gradient(_points([m[1:] for m in mirrors]), Z, settings)
+    mv = _points([m[1:] for m in mirrors])
+    t, (g1, g2) = odd_theta_with_gradient(mv, Z, settings)
     calls += len(mirrors)
     grad = np.hypot(np.abs(g1), np.abs(g2))
-    for (line, mv1, mv2), a, g in zip(mirrors, np.abs(t).tolist(), grad.tolist()):
-        points.append(TracePoint(line, mv1, mv2, a, g))
+    # w(v)|theta_A(v)| is the same at v and its mirror; each side carries a
+    # truncation error of at most tol in weighted units
+    src_weighted = canonical_weight(Z, _points([(p.v1, p.v2) for p in sources])) * [
+        p.abs_theta for p in sources
+    ]
+    agree = np.abs(canonical_weight(Z, mv) * np.abs(t) - src_weighted) <= 2 * tol_abs
+    for (line, mv1, mv2), a, g, ok in zip(mirrors, np.abs(t).tolist(), grad.tolist(), agree):
+        if ok:
+            points.append(TracePoint(line, mv1, mv2, a, g))
+        else:
+            failures.append(TraceFailure(line, 0, "mirror disagrees with its source"))
 
     points.sort(key=lambda p: (p.line, p.v2.real, p.v2.imag))
     return TraceResult(N, points, failures, calls)

@@ -99,6 +99,12 @@ def test_verify_surface_random(capsys):
     ]
 
 
+def test_verify_surface_with_two_samples(capsys):
+    code, out, _ = run(capsys, ["verify-surface", "--random", "--seed", "7", "--samples", "2"])
+    assert code == 0
+    assert json.loads(out)["overall"] == "pass"
+
+
 def test_verify_surface_deterministic(capsys):
     code1, out1, _ = run(capsys, ["verify-surface", "--random", "--seed", "9"])
     code2, out2, _ = run(capsys, ["verify-surface", "--random", "--seed", "9"])

@@ -106,6 +106,13 @@ def test_lattice_automorphy(Z0, settings):
     assert rep.automorphy_max_residual < 1e-8
 
 
+@pytest.mark.parametrize("n_samples", [1, 2])
+def test_lattice_automorphy_with_fewer_than_three_samples(Z0, settings, n_samples):
+    # the automorphy block takes as many samples as there are, up to three
+    rep = quasi_periodicity_check(Z0, settings, n_samples=n_samples)
+    assert rep.automorphy_max_residual < 1e-8
+
+
 def test_half_periods_shape(Z0):
     hp = half_periods(Z0)
     assert hp["w1"] == (0.0, 2.0)

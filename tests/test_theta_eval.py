@@ -202,8 +202,8 @@ def test_array_radius_is_taken_at_the_largest_shift(batch, chi):
 
 
 def test_large_array_matches_single_points(Z0, rng):
-    # 600 rows at radius 4 exceed one slice of the batch; rows that share
-    # Im v share the radius, so every entry is the single call bit for bit
+    # 600 rows at radius 4 in one batch; rows that share Im v share the
+    # radius, so every entry is the single call bit for bit
     V = rng.uniform(-2.0, 2.0, size=(600, 2)) + 1j * np.array([0.3, -0.2])
     t, (g1, g2) = odd_theta_with_gradient(V, Z0)
     basis = theta_basis(V, Z0)

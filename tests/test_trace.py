@@ -83,6 +83,30 @@ def test_trace_closure_keeps_mirrors_of_tiny_values():
     assert max(p.abs_theta for p in res.points) > 1e-12
 
 
+def test_trace_drops_mirrors_that_disagree_with_their_source(Z0, settings, monkeypatch):
+    # the second batched call evaluates the mirrors; skew its values so no
+    # mirror matches its source's weighted |theta_A|
+    import thetalab.trace as trace
+
+    real = trace.odd_theta_with_gradient
+    batches = []
+
+    def skewed(v, Z, s):
+        t, g = real(v, Z, s)
+        if np.ndim(v) == 2:
+            batches.append(len(v))
+            if len(batches) == 2:
+                t = t + 1.0
+        return t, g
+
+    monkeypatch.setattr(trace, "odd_theta_with_gradient", skewed)
+    res = trace_curve(Z0, settings, grid_size=4)
+    assert len(batches) == 2 and batches[1] > 0
+    dropped = [f for f in res.failures if f.reason == "mirror disagrees with its source"]
+    assert len(dropped) == batches[1] == len(res.failures)
+    assert all(p.abs_theta < settings.tol for p in res.points)
+
+
 def test_trace_no_duplicates_within_line(Z0, settings):
     # on a proper grid line v1 is fixed, so equal v2 would be a duplicate
     # (the torsion bucket is exempt: those points share v2 across v1s)
