@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import time
@@ -471,8 +472,13 @@ def main(argv=None) -> int:
     t0 = time.perf_counter()
     try:
         tol = _resolve_tol(args)
-        if tol <= 0:
-            raise CLIInputError(f"tolerance must be positive, got {tol}")
+        # the sums round at about eps relative to their peak term, so a
+        # smaller tolerance could not be certified
+        if not (math.isfinite(tol) and tol >= sys.float_info.epsilon):
+            raise CLIInputError(
+                f"tolerance must be positive, finite and at least "
+                f"{sys.float_info.epsilon:.3g}, got {tol}"
+            )
         if getattr(args, "samples", 1) < 1:
             raise CLIInputError(f"samples must be >= 1, got {args.samples}")
         report = Report(args.command, args.seed, tol)

@@ -6,7 +6,14 @@ lattice z11 Z + Z, so v1 runs over an N x N grid on its fundamental
 parallelogram; along the fibre only the generator D e2 = (0, 4) survives,
 so solutions in v2 are reduced modulo 4.  Each grid line is solved by a
 damped complex Newton iteration seeded from the twelve simple two-torsion
-points of the curve and from the previous line's solutions.  The emitted
+points of the curve and from the previous line's solutions.  All seeds of a
+line run in lockstep: each Newton step evaluates the rows still iterating
+in one batched call, and each round of the line search the rows still
+halving their step in another.  A batch is summed at the radius of its
+largest shift, so each row keeps its own certificate and ends as it would
+alone, up to rounding (which can still decide a zero whose |theta_A| sits
+at the rounding floor); a row's outcome is fixed when it converges, meets a
+flat gradient or fails its line search.  The emitted
 cloud is closed under v -> -v, realised as v -> Z e1 + D e1 - v, which maps
 the chart to itself.  That symmetry of the curve is exact, so a mirror point
 is accepted on its source's certificate.  The mirrors are still evaluated,
@@ -19,6 +26,7 @@ failure instead of being emitted.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -53,36 +61,59 @@ class TraceResult:
 
 
 def _reduce_mod4(v2: complex) -> complex:
-    return v2 - 4.0 * np.floor(v2.real / 4.0)
+    """v2 with its real part reduced into [0, 4)."""
+    r = v2 - 4.0 * math.floor(v2.real / 4.0)
+    # a tiny negative real part rounds up to exactly 4.0
+    return complex(0.0, r.imag) if r.real >= 4.0 else r
 
 
-def _newton_line(Z, v1, v2, settings, tol_abs, max_iter=50):
-    """Damped Newton for theta_A(v1, .) = 0; returns (v2, |theta|, |grad|, ok)."""
+def _line_points(v1: complex, v2s: np.ndarray) -> np.ndarray:
+    return np.column_stack((np.full(len(v2s), v1), v2s))
+
+
+def _newton_lines(Z, v1, seeds, settings, tol_abs, max_iter=50):
+    """Damped Newton for theta_A(v1, .) = 0 from every seed at once.
+
+    Each iteration evaluates the rows still active in one batched call, and
+    each round of the 8-step line search the rows still halving lambda in
+    one call.  A row leaves when |theta| < tol_abs (converged), when
+    |d theta/dv2| < 1e-14 (flat) or when its line search finds no decrease,
+    and its outcome is then fixed; a row still active after max_iter steps
+    is judged by its last value.  Returns (v2, |theta|, |d theta/dv2|, ok)
+    as lists in seed order, and the number of points evaluated.
+    """
+    v2 = np.array(seeds, dtype=complex)
+    n = len(v2)
+    abs_t, abs_g = np.zeros(n), np.zeros(n)
+    ok = np.zeros(n, dtype=bool)
+    active = np.arange(n)
     calls = 0
-    for _ in range(max_iter):
-        t, (_, g2) = odd_theta_with_gradient((v1, v2), Z, settings)
-        calls += 1
-        if abs(t) < tol_abs:
-            return v2, abs(t), abs(g2), True, calls
-        if abs(g2) < 1e-14:
-            return v2, abs(t), abs(g2), False, calls
-        step = t / g2
+    for it in range(max_iter + 1):
+        if not active.size:
+            break
+        t, (_, g2) = odd_theta_with_gradient(_line_points(v1, v2[active]), Z, settings)
+        calls += active.size
+        at, ag = np.abs(t), np.abs(g2)
+        abs_t[active], abs_g[active] = at, ag
+        ok[active] = at < tol_abs
+        go = ~ok[active] & ~(ag < 1e-14) if it < max_iter else np.zeros(active.size, bool)
+        rows = active[go]
+        base, base_abs, step = v2[rows], at[go], t[go] / g2[go]
+        # indices into rows of the searches still halving lambda
+        search = np.arange(rows.size)
         lam = 1.0
-        improved = False
         for _ in range(8):
-            cand = v2 - lam * step
-            t2 = odd_theta((v1, cand), Z, settings)
-            calls += 1
-            if abs(t2) < abs(t):
-                improved = True
+            if not search.size:
                 break
+            cand = base[search] - lam * step[search]
+            t2 = odd_theta(_line_points(v1, cand), Z, settings)
+            calls += search.size
+            better = np.abs(t2) < base_abs[search]
+            v2[rows[search[better]]] = cand[better]
+            search = search[~better]
             lam *= 0.5
-        if not improved:
-            return v2, abs(t), abs(g2), False, calls
-        v2 = cand
-    t, (_, g2) = odd_theta_with_gradient((v1, v2), Z, settings)
-    calls += 1
-    return v2, abs(t), abs(g2), abs(t) < tol_abs, calls
+        active = np.delete(rows, search)
+    return v2.tolist(), abs_t.tolist(), abs_g.tolist(), ok.tolist(), calls
 
 
 def _is_duplicate(v2, found, tol=1e-6):
@@ -132,11 +163,10 @@ def trace_curve(
         for j in range(N):
             v1 = (i / N) * Z.z11 + (j / N)
             found: list[complex] = []
-            tried = 0
-            for v2 in prev + seed_v2:
-                tried += 1
-                sol, a, g, ok, c = _newton_line(Z, v1, v2, settings, tol_abs)
-                calls += c
+            starts = prev + seed_v2
+            *outcomes, c = _newton_lines(Z, v1, starts, settings, tol_abs)
+            calls += c
+            for sol, a, g, ok in zip(*outcomes):
                 if ok:
                     sol = _reduce_mod4(sol)
                     if not _is_duplicate(sol, found):
@@ -144,7 +174,7 @@ def trace_curve(
                         points.append(TracePoint((i, j), v1, sol, a, g))
             if not found:
                 failures.append(
-                    TraceFailure((i, j), tried, "no Newton seed converged")
+                    TraceFailure((i, j), len(starts), "no Newton seed converged")
                 )
             prev = found
 

@@ -317,6 +317,22 @@ def test_bad_tolerance_exits_2(capsys):
     assert "positive" in err
 
 
+@pytest.mark.parametrize("source", ["flag", "env"])
+@pytest.mark.parametrize("tol", ["1e-300", "inf", "nan"])
+def test_uncertifiable_tolerance_exits_2(capsys, monkeypatch, tol, source):
+    # below double-precision rounding no truncated sum certifies the
+    # tolerance; inf and nan certify nothing
+    argv = ["verify-surface", "--random", "--seed", "7"]
+    if source == "flag":
+        argv += ["--tol", tol]
+    else:
+        monkeypatch.setenv("THETA_LAB_TOL", tol)
+    code, out, err = run(capsys, argv)
+    assert code == 2
+    assert out == ""
+    assert "tolerance" in err and "RadiusExceeded" not in err
+
+
 def test_bad_env_tolerance_exits_2(capsys, monkeypatch):
     monkeypatch.setenv("THETA_LAB_TOL", "not-a-number")
     code, _, err = run(capsys, ["klein", "--genus", "2", "--enumerate"])

@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 
+import thetalab.trace as trace
 from thetalab import PeriodMatrix, odd_theta, random_period_matrix, trace_curve
+from thetalab.errors import RadiusExceeded
 from thetalab.trace import _reduce_mod4
 
 
@@ -13,6 +15,8 @@ def test_reduce_mod4_range():
     v = _reduce_mod4(123.456 - 0.7j)
     assert 0.0 <= v.real < 4.0
     assert v.imag == pytest.approx(-0.7)
+    # -1e-18 + 4 rounds to exactly 4.0, which folds back to 0
+    assert _reduce_mod4(-1e-18 + 0.3j) == 0.3j
 
 
 def test_trace_points_lie_on_curve(Z0, settings):
@@ -84,27 +88,67 @@ def test_trace_closure_keeps_mirrors_of_tiny_values():
 
 
 def test_trace_drops_mirrors_that_disagree_with_their_source(Z0, settings, monkeypatch):
-    # the second batched call evaluates the mirrors; skew its values so no
-    # mirror matches its source's weighted |theta_A|
-    import thetalab.trace as trace
-
+    # the last batched value-and-gradient call of trace_curve evaluates the
+    # mirrors; skew its values so no mirror matches its source's weighted
+    # |theta_A|
     real = trace.odd_theta_with_gradient
-    batches = []
 
-    def skewed(v, Z, s):
-        t, g = real(v, Z, s)
-        if np.ndim(v) == 2:
-            batches.append(len(v))
-            if len(batches) == 2:
-                t = t + 1.0
-        return t, g
+    def traced(skew_call):
+        batches = []
 
-    monkeypatch.setattr(trace, "odd_theta_with_gradient", skewed)
-    res = trace_curve(Z0, settings, grid_size=4)
-    assert len(batches) == 2 and batches[1] > 0
+        def wrapped(v, Z, s):
+            t, g = real(v, Z, s)
+            if np.ndim(v) == 2:
+                batches.append(len(v))
+                if len(batches) == skew_call:
+                    t = t + 1.0
+            return t, g
+
+        monkeypatch.setattr(trace, "odd_theta_with_gradient", wrapped)
+        return trace_curve(Z0, settings, grid_size=4), batches
+
+    _, plain = traced(skew_call=0)
+    res, batches = traced(skew_call=len(plain))
+    assert batches == plain and batches[-1] > 0
     dropped = [f for f in res.failures if f.reason == "mirror disagrees with its source"]
-    assert len(dropped) == batches[1] == len(res.failures)
+    assert len(dropped) == batches[-1] == len(res.failures)
     assert all(p.abs_theta < settings.tol for p in res.points)
+
+
+def test_newton_rows_do_not_depend_on_their_batch(Z0, settings, monkeypatch):
+    # each seed of a line's lockstep batch ends as it does alone
+    real = trace._newton_lines
+    lines = []
+
+    def recording(Z, v1, seeds, s, tol_abs):
+        out = real(Z, v1, seeds, s, tol_abs)
+        lines.append((v1, seeds, out))
+        return out
+
+    monkeypatch.setattr(trace, "_newton_lines", recording)
+    trace_curve(Z0, settings, grid_size=4)
+    assert len(lines) == 16
+    for v1, seeds, (sols, _, _, oks, _) in lines:
+        assert len(seeds) > 1
+        for seed, sol, ok in zip(seeds, sols, oks):
+            (alone,), _, _, (alone_ok,), _ = real(Z0, v1, [seed], settings, settings.tol)
+            assert alone_ok == ok
+            d = alone - sol
+            assert abs(d - 4.0 * round(d.real / 4.0)) < 1e-9
+
+
+# perfbench/inputs.FAULTS runs these two draws as fixed failing answers and
+# expects these exception names
+@pytest.mark.xfail(raises=RadiusExceeded, strict=True,
+                   reason="a Newton step jumps to a Gaussian-centre shift of 9e13")
+def test_trace_draw_2_stays_in_range():
+    trace_curve(random_period_matrix(np.random.default_rng(2)), grid_size=4)
+
+
+@pytest.mark.xfail(raises=OverflowError, strict=True,
+                   reason="a Newton step reaches a point whose theta sum overflows")
+def test_trace_draw_52_stays_finite():
+    trace_curve(random_period_matrix(np.random.default_rng(52)), grid_size=4)
 
 
 def test_trace_no_duplicates_within_line(Z0, settings):
