@@ -38,7 +38,7 @@ from .surface import (
     two_torsion_scan,
 )
 from .theta import _points, kernel_backend, odd_theta, quarter_characteristic, theta_char
-from .trace import trace_curve
+from .trace import MIRROR_DISAGREES, trace_curve
 from .twotorsion import (
     KleinSubgroup,
     TwoTorsionClass,
@@ -388,9 +388,11 @@ def cmd_trace_curve(args, report: Report) -> str:
             f"{p.abs_theta!r},{p.grad_norm!r}"
         )
     text = "\n".join(lines) + "\n"
+    mirrors = sum(f.reason == MIRROR_DISAGREES for f in result.failures)
     print(
         f"traced {len(result.points)} points on a {result.grid_size}x{result.grid_size} grid; "
-        f"{len(result.failures)} lines without solutions",
+        f"{len(result.failures) - mirrors} lines without solutions; "
+        f"{mirrors} mirror points disagreeing with their source",
         file=sys.stderr,
     )
     return text
@@ -486,7 +488,8 @@ def main(argv=None) -> int:
     except CLIInputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except ThetaLabError as exc:
+    # OverflowError: a theta sum beyond double range
+    except (ThetaLabError, OverflowError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
     report.wall_time_s = time.perf_counter() - t0

@@ -146,21 +146,11 @@ def isotypic_multiplicities(a: ActionData, genus: int | None = None) -> dict[Cha
 
 
 def subgroups_z23() -> list[frozenset[Element]]:
-    """All 16 subgroups of Z2^3, deduplicated from generator subsets."""
-    elements = list(ELEMENT_NAMES)
-    seen = set()
-    out = []
-    for r in range(4):
-        for gens in itertools.combinations(elements[1:], r):
-            span = {IDENTITY}
-            for g in gens:
-                span |= {_mul(g, h) for h in span}
-            fs = frozenset(span)
-            if fs not in seen:
-                seen.add(fs)
-                out.append(fs)
-    out.sort(key=lambda s: (len(s), sorted(ELEMENT_ORDER.index(ELEMENT_NAMES[e]) for e in s)))
-    return out
+    """All 16 subgroups of Z2^3, as the spans of at most three nontrivial
+    elements."""
+    spans = {subgroup_from_names(gens)
+             for r in range(4) for gens in itertools.combinations(ELEMENT_ORDER[1:], r)}
+    return sorted(spans, key=lambda s: (len(s), sorted(ELEMENT_ORDER.index(ELEMENT_NAMES[e]) for e in s)))
 
 
 def subgroup_name(K: frozenset[Element]) -> str:

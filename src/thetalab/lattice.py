@@ -3,7 +3,7 @@
 The reference lattice is Z^4 carrying a principal alternating form (the
 period lattice of the genus-2 Jacobian JH in a symplectic basis).
 Enlarging it by half-torsion subgroups G and rescaling the form by the
-minimal multiplier that restores integrality reproduces the polarization
+least multiplier that restores integrality reproduces the polarization
 types of the quotient surfaces JH/G: principal for isotropic Klein G,
 (1,4) for non-isotropic, (1,2) for a single two-torsion point.
 
@@ -167,29 +167,22 @@ def smith_type(form: AlternatingForm, lattice: RationalLattice) -> PolarizationT
     return PolarizationType(divs[0], divs[2])
 
 
-_MULTIPLIER_CAP = 64
-
-
 def quotient_polarization_type(
     G: HalfTorsionSubgroup, E: AlternatingForm | None = None
 ) -> tuple[int, PolarizationType]:
     """Type of the polarization induced on the quotient by G.
 
-    Forms the overlattice L' = Z^4 + lifts(G), doubles the multiplier c
-    until c*E is integral on L', and returns (c, smith_type(c*E, L')).
-    With the principal form: isotropic Klein -> (2, (1,1)), non-isotropic
-    Klein -> (4, (1,4)), single two-torsion -> (2, (1,2)).
+    Forms the overlattice L' = Z^4 + lifts(G), takes the least multiplier
+    c that makes c*E integral on L' (the lcm of the denominators of E's Gram
+    matrix on L'), and returns (c, smith_type(c*E, L')).  With the principal
+    form: isotropic Klein -> (2, (1,1)), non-isotropic Klein -> (4, (1,4)),
+    single two-torsion -> (2, (1,2)).
     """
     if E is None:
         E = AlternatingForm.standard_symplectic()
     L = RationalLattice.overlattice(G.generators)
-    c = 1
-    while c <= _MULTIPLIER_CAP:
-        gram = E.scaled(c).gram_on(L.basis)
-        if exact.is_integral(gram):
-            return c, smith_type(E.scaled(c), L)
-        c *= 2
-    raise Inconsistent(f"no multiplier up to {_MULTIPLIER_CAP} makes the form integral")
+    c = math.lcm(*(x.denominator for row in E.gram_on(L.basis) for x in row))
+    return c, smith_type(E.scaled(c), L)
 
 
 def lattice_weil_pairing(x: Sequence, y: Sequence, E: AlternatingForm | None = None) -> int:

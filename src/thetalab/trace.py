@@ -45,6 +45,9 @@ class TracePoint:
     grad_norm: float
 
 
+MIRROR_DISAGREES = "mirror disagrees with its source"
+
+
 @dataclass(frozen=True)
 class TraceFailure:
     line: tuple[int, int]
@@ -212,7 +215,7 @@ def trace_curve(
         if ok:
             points.append(TracePoint(line, mv1, mv2, a, g))
         else:
-            failures.append(TraceFailure(line, 0, "mirror disagrees with its source"))
+            failures.append(TraceFailure(line, 0, MIRROR_DISAGREES))
 
     points.sort(key=lambda p: (p.line, p.v2.real, p.v2.imag))
     return TraceResult(N, points, failures, calls)

@@ -6,8 +6,12 @@ A class is a bit mask (bit i-1 for point i) normalised to the smaller of
 the mask and its complement, so point 2g+2 is never in it: addition is XOR
 and the Weil pairing is the parity of the popcount of the AND.  The shown
 representative is the smaller subset, with lexicographic tie-break at
-cardinality g+1.  All F2 linear algebra (ranks, orthogonal complements,
-keys of subgroups) goes through one routine, ``echelon``.
+cardinality g+1.  F2 ranks and orthogonal complements go through one
+routine, ``echelon``.  The census builds each subgroup once, from its first
+generators in display order (weight, then members): each is the first class
+of the subgroup outside the span of those before it.  Among the
+display-ordered combinations a tuple passes this test only for its own
+subgroup's first tuple, so no subgroup needs a canonical key.
 
 On top of the group structure this module classifies Klein (Z2 x Z2)
 subgroups and their (Z2 x Z2)-coverings: isotropy under the pairing,
@@ -229,15 +233,14 @@ _ENUM_GENUS_CAP = 4
 
 
 def enumerate_klein(genus: int) -> KleinCensus:
-    """Census of all Klein subgroups (deduplicated); genus capped at 4."""
+    """Census of all Klein subgroups, each built once; genus capped at 4."""
     if genus > _ENUM_GENUS_CAP:
         raise TooLarge(f"genus {genus} > {_ENUM_GENUS_CAP}: {4**genus} classes")
-    seen: dict[tuple[int, ...], KleinSubgroup] = {}
-    for a, b in itertools.combinations(nonzero_classes(genus), 2):
-        key = tuple(echelon((a.mask, b.mask)))
-        if key not in seen:
-            seen[key] = KleinSubgroup(a, b)
-    groups = list(seen.values())
+    nz = nonzero_classes(genus)
+    rank = {c.mask: i for i, c in enumerate(nz)}
+    # (a, b) is its group's first pair when a + b ranks after b
+    groups = [KleinSubgroup(a, b) for a, b in itertools.combinations(nz, 2)
+              if rank[a.mask ^ b.mask] > rank[b.mask]]
     iso = sum(1 for G in groups if G.is_isotropic())
     kinds = [classify_klein_cover(G) for G in groups]
     return KleinCensus(
@@ -351,20 +354,23 @@ def z23_contains_isotropic(genus: int, keep_witnesses: int = 3) -> Z23Report:
     if genus > _Z23_GENUS_CAP:
         raise TooLarge(f"genus {genus} > {_Z23_GENUS_CAP}")
     nz = [c.mask for c in nonzero_classes(genus)]
-    seen: set[tuple[int, ...]] = set()
-    found = 0
+    rank = {m: i for i, m in enumerate(nz)}
+    total = found = 0
     witnesses = []
     for triple in itertools.combinations(nz, 3):
-        key = tuple(echelon(triple))
-        if len(key) < 3 or key in seen:
+        # its group's first triple: x, y its first two classes, z the first
+        # class outside their span
+        x, y, z = triple
+        if not (rank[x ^ y] > rank[y] and z != x ^ y
+                and rank[z] < min(rank[z ^ x], rank[z ^ y], rank[z ^ x ^ y])):
             continue
-        seen.add(key)
-        elements = sorted((TwoTorsionClass(genus, m) for m in span(key)[1:]),
-                          key=_display_order)
-        witness = next((KleinSubgroup(x, y) for x, y in itertools.combinations(elements, 2)
-                        if weil(x, y) == 0), None)
+        total += 1
+        elements = [TwoTorsionClass(genus, m)
+                    for m in sorted(span(triple)[1:], key=rank.__getitem__)]
+        witness = next((KleinSubgroup(s, t) for s, t in itertools.combinations(elements, 2)
+                        if weil(s, t) == 0), None)
         if witness is not None:
             found += 1
             if len(witnesses) < keep_witnesses:
                 witnesses.append((tuple(TwoTorsionClass(genus, m) for m in triple), witness))
-    return Z23Report(genus, len(seen), found, witnesses)
+    return Z23Report(genus, total, found, witnesses)

@@ -7,6 +7,7 @@ import pytest
 
 from thetalab import cli
 from thetalab.cli import format_complex, load_period_matrix, main, parse_complex
+from thetalab.trace import MIRROR_DISAGREES, TraceFailure, TraceResult
 
 
 def run(capsys, argv):
@@ -263,6 +264,28 @@ def test_trace_curve_stdout(capsys):
     code, out, err = run(capsys, ["trace-curve", "--random", "--seed", "3", "--grid", "3"])
     assert code == 0
     assert out.startswith("v1_re,")
+
+
+def test_trace_curve_overflow_exits_2(capsys):
+    # draw 52's Newton reaches a point whose theta sum overflows; the
+    # library still raises (tests/test_trace.py), the CLI reports it
+    code, out, err = run(capsys, ["trace-curve", "--random", "--seed", "52", "--grid", "4"])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: OverflowError: ")
+    assert "Traceback" not in err
+
+
+def test_trace_curve_summary_counts_failure_kinds(capsys, monkeypatch):
+    failures = [TraceFailure((0, 1), 5, "no Newton seed converged"),
+                TraceFailure((1, 1), 4, "no Newton seed converged"),
+                TraceFailure((2, 3), 0, MIRROR_DISAGREES)]
+    monkeypatch.setattr(cli, "trace_curve",
+                        lambda Z, settings, grid_size: TraceResult(grid_size, [], failures, 0))
+    code, out, err = run(capsys, ["trace-curve", "--random", "--seed", "3", "--grid", "4"])
+    assert code == 1  # no points found
+    assert ("traced 0 points on a 4x4 grid; 2 lines without solutions; "
+            "1 mirror points disagreeing with their source") in err
 
 
 @pytest.mark.parametrize("grid", ["0", "-3"])

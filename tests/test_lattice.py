@@ -6,6 +6,7 @@ on the Weil-pairing structure of the kernel, and the determinant identity
 d1*d2 = c^2 / [L' : Z^4] cross-checks every Smith computation.
 """
 
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -30,7 +31,7 @@ from thetalab import (
     quotient_polarization_type,
     weil,
 )
-from thetalab.exact import mat, matmul
+from thetalab.exact import is_integral, mat, matmul
 from thetalab.lattice import smith_type
 
 from test_exact import random_unimodular
@@ -116,6 +117,48 @@ def test_quotient_type_all_klein_groups():
             seen["non"] += 1
             assert (c, t) == (4, PolarizationType(1, 4))
     assert seen == {"isotropic": 15, "non": 20}
+
+
+def half_torsion_subgroups():
+    """One generator list for each of the 66 nonzero subgroups of
+    (1/2 Z^4)/Z^4, found by closing generator sets under addition mod Z^4."""
+    nonzero = half_torsion_classes()[1:]
+    spans = {}
+    for r in range(1, 5):
+        for gens in itertools.combinations(nonzero, r):
+            elements = {(Fraction(0),) * 4}
+            for g in gens:
+                elements |= {tuple((x + y) % 1 for x, y in zip(g, e)) for e in elements}
+            spans.setdefault(frozenset(elements), gens)
+    return list(spans.values())
+
+
+def prime_factors(n):
+    return [p for p in range(2, n + 1) if n % p == 0 and all(p % q for q in range(2, p))]
+
+
+@pytest.mark.parametrize("E", [AlternatingForm.standard_symplectic(),
+                               AlternatingForm.of_type(1, 2)])
+def test_quotient_multiplier_is_least(E):
+    subgroups = half_torsion_subgroups()
+    assert len(subgroups) == 15 + 35 + 15 + 1
+    for gens in subgroups:
+        c, _ = quotient_polarization_type(HalfTorsionSubgroup(gens), E)
+        L = RationalLattice.overlattice(gens)
+        assert is_integral(E.scaled(c).gram_on(L.basis))
+        for p in prime_factors(c):
+            assert not is_integral(E.scaled(Fraction(c, p)).gram_on(L.basis))
+
+
+def test_quotient_multiplier_clears_odd_denominators():
+    # the principal form divided by 3 needs a multiplier divisible by 3;
+    # the scaled form is then the principal one's, so the type is too
+    third = AlternatingForm.standard_symplectic().scaled(Fraction(1, 3))
+    for gens in half_torsion_subgroups():
+        sub = HalfTorsionSubgroup(gens)
+        c, t = quotient_polarization_type(sub, third)
+        c0, t0 = quotient_polarization_type(sub)
+        assert (c, t) == (3 * c0, t0)
 
 
 def test_quotient_type_determinant_identity():

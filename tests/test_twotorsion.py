@@ -235,6 +235,28 @@ def test_klein_census_genus3_counts():
     assert census.undetermined > 0  # heavier generators appear from g=3
 
 
+def first_by_echelon_key(genus, k):
+    """Reference census: the display-ordered k-combinations of nonzero
+    masks, keeping the first tuple to span each rank-k subgroup (keyed by
+    its echelon basis)."""
+    seen = {}
+    for gens in itertools.combinations([c.mask for c in nonzero_classes(genus)], k):
+        key = tuple(echelon(gens))
+        if len(key) == k:
+            seen.setdefault(key, gens)
+    return list(seen.values())
+
+
+@pytest.mark.parametrize("genus", [2, 3])
+def test_klein_census_matches_echelon_dedupe(genus):
+    got = [(G.eta1.mask, G.eta2.mask) for G in enumerate_klein(genus).groups]
+    assert got == first_by_echelon_key(genus, 2)
+
+
+def test_klein_census_genus4_count_matches_echelon_dedupe():
+    assert enumerate_klein(4).total == len(first_by_echelon_key(4, 2)) == 10795
+
+
 def test_klein_census_genus_cap():
     with pytest.raises(TooLarge):
         enumerate_klein(5)
@@ -394,6 +416,25 @@ def test_z23_always_contains_isotropic(genus, count):
         for v in triple:
             span |= {s + v for s in span}
         assert set(G.elements()) <= span
+
+
+@pytest.mark.parametrize("genus", [2, 3])
+def test_z23_matches_echelon_dedupe(genus):
+    order = {c.mask: i for i, c in enumerate(nonzero_classes(genus))}
+    found, witnesses = 0, []
+    for triple in first_by_echelon_key(genus, 3):
+        elements = sorted(span(echelon(triple))[1:], key=order.__getitem__)
+        pair = next(((a, b) for a, b in itertools.combinations(elements, 2)
+                     if not (a & b).bit_count() & 1), None)
+        if pair is not None:
+            found += 1
+            if len(witnesses) < 3:
+                witnesses.append((triple, pair))
+    rep = z23_contains_isotropic(genus)
+    assert rep.n_subgroups == len(first_by_echelon_key(genus, 3))
+    assert rep.n_with_isotropic_klein == found
+    assert [(tuple(c.mask for c in t), (G.eta1.mask, G.eta2.mask))
+            for t, G in rep.witnesses] == witnesses
 
 
 def test_z23_count_is_gaussian_binomial():
