@@ -22,7 +22,6 @@ from .errors import (
     GenusMismatch,
     IllConditioned,
     Inconsistent,
-    NoConvergence,
     NonIntegerGenus,
     NotDiagonal,
     NotHalfTorsion,

@@ -28,10 +28,6 @@ class NotDiagonal(ThetaLabError):
     """Operation requires a diagonal period matrix."""
 
 
-class NoConvergence(ThetaLabError):
-    """Root finding failed to converge."""
-
-
 class NotIntegral(ThetaLabError):
     """The pairing is not integer valued on the given lattice."""
 

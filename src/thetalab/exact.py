@@ -9,6 +9,7 @@ floating point enters.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Iterable, Sequence
 
@@ -197,17 +198,8 @@ def rational_lattice_basis(generators: Sequence[Sequence[Fraction]]) -> Matrix:
     if not gens:
         return []
     n = len(gens[0])
-    denom = 1
-    for g in gens:
-        for x in g:
-            denom = denom * x.denominator // _gcd(denom, x.denominator)
+    denom = math.lcm(*(x.denominator for g in gens for x in g))
     cols = [[int(x * denom) for x in g] for g in gens]
     A = [[cols[j][i] for j in range(len(cols))] for i in range(n)]
     B = column_lattice_basis(A)
     return [[Fraction(x, denom) for x in row] for row in B]
-
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return abs(a)

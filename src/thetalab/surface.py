@@ -25,7 +25,8 @@ from .siegel import (
     random_point,
     two_torsion_points,
 )
-from .theta import _log_peak, _points, odd_theta, odd_theta_with_gradient, theta_basis
+from .theta import _log_peak, _points, _rows, _unwrap
+from .theta import odd_theta, odd_theta_with_gradient, theta_basis
 
 # classification thresholds, relative to the scan's scale
 VALUE_RATIO = 1e-6
@@ -41,8 +42,8 @@ def canonical_weight(Z: PeriodMatrix, v):
     even when Im(Z) is strongly anisotropic.  A float for a point, an (n,)
     array for an (n, 2) array of points.
     """
-    w = np.exp(-_log_peak(Z, v))
-    return float(w) if np.ndim(w) == 0 else w
+    rows, single = _rows(v)
+    return _unwrap(np.exp(-_log_peak(Z, rows)), single)
 
 # fixed torus coordinates used to probe the overall magnitude of the odd
 # section; deterministic so that repeated scans agree bit-for-bit

@@ -12,25 +12,26 @@ requested tolerance.  Every public evaluator goes through `_evaluate`, which
 picks one radius per call and runs the numpy lattice sum in `_kernel_py`
 once per characteristic.
 
-Each evaluator takes either one point v = (v1, v2) or an (n, 2) complex
-array of points, one per row, and then returns arrays indexed by row.  A
-batch is summed over one box whose radius is the one `truncation_radius`
-picks at the largest Gaussian-centre shift among its rows: the tail
-majorant grows with the shift, so every row keeps at least the certificate
-it would get alone.  A sum that leaves the double range (a Gaussian peak
-exp(pi y^T Y^-1 y) beyond about 1e308, y = Im v) raises OverflowError
-instead of returning nan.
+Each evaluator takes one point v = (v1, v2), returning Python complexes,
+or an (n, 2) array of points, one per row, returning arrays indexed by
+row.  A point is a one-row batch: `_rows` makes the (n, 2) complex array
+the only point format below the public functions, and raises OutOfRange
+for any other shape and for a coordinate that is not finite.  A batch is
+summed over one box at the radius `truncation_radius` picks for the
+largest Gaussian-centre shift among its rows; the tail majorant grows with
+the shift, so every row keeps at least the certificate it would get alone.
+A sum beyond double range (a Gaussian peak exp(pi y^T Y^-1 y) above about
+1e308, y = Im v) raises OverflowError instead of returning nan.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 
 import numpy as np
 
 from . import _kernel_py as _KERNEL  # looked up per call, so profilers can wrap it
-from .errors import RadiusExceeded
+from .errors import OutOfRange, RadiusExceeded
 from .siegel import (
     OMEGA,
     EvalSettings,
@@ -41,7 +42,7 @@ from .siegel import (
 )
 
 
-# one point (v1, v2), or an (n, 2) complex array with one point per row
+# one point (v1, v2), or an (n, 2) array-like with one point per row
 _Points = SurfacePoint | tuple[complex, complex] | np.ndarray
 
 
@@ -50,22 +51,24 @@ def kernel_backend() -> str:
     return "python"
 
 
-def _tail_bound(lam: float, shift: float, radius: int, grad_order: int) -> float:
-    """Majorant for the dropped tail, relative to the dominant term.
+def _tail_below(lam: float, shift: float, radius: int, grad_order: int, tol: float) -> bool:
+    """Whether the tail majorant, relative to the dominant term, is below tol.
 
     Terms with sup-norm k > radius number 8k and are each bounded by
-    (2 pi (k+1))^grad_order * exp(-pi lam (k - shift)^2).
+    (2 pi (k+1))^grad_order * exp(-pi lam (k - shift)^2).  Partial sums
+    never decrease, so the first one that is not below tol decides.
     """
     total = 0.0
+    decay = -math.pi * lam
     for k in range(radius + 1, radius + 2000):
-        d = max(k - shift, 0.0)
-        t = 8.0 * k * (2.0 * math.pi * (k + 1)) ** grad_order * math.exp(
-            -math.pi * lam * d * d
-        )
+        d = k - shift if k > shift else 0.0
+        t = 8.0 * k * (2.0 * math.pi * (k + 1)) ** grad_order * math.exp(decay * d * d)
         total += t
-        if d > 1.0 and t < 1e-18 * max(total, 1.0):
+        if not total < tol:
+            return False
+        if d > 1.0 and t < 1e-18 * (total if total > 1.0 else 1.0):
             break
-    return total
+    return True
 
 
 def truncation_radius(
@@ -79,7 +82,7 @@ def truncation_radius(
     """
     R = max(1, math.ceil(shift))
     while R <= max_radius:
-        if _tail_bound(lam_min, shift, R, grad_order) < tol:
+        if _tail_below(lam_min, shift, R, grad_order, tol):
             return R
         R += 1
     raise RadiusExceeded(
@@ -88,79 +91,89 @@ def truncation_radius(
     )
 
 
-def _is_batch(v) -> bool:
-    return isinstance(v, np.ndarray) and v.ndim == 2
-
-
 def _points(pts) -> np.ndarray:
     """Points as an (n, 2) complex array, one per row, for a batched call."""
     return np.array(pts, dtype=complex).reshape(-1, 2)
 
 
-def _log_peak(Z: PeriodMatrix, v):
-    """pi y^T Y^{-1} y with y = Im v: the log of the largest term any theta
-    sum can have at v.  A float for a point, an (n,) array for a batch."""
-    y = np.imag(np.asarray(v, dtype=complex))
-    return np.pi * (y.T * np.linalg.solve(Z.imag_part(), y.T)).sum(axis=0)
+def _rows(v) -> tuple[np.ndarray, bool]:
+    """v as an (n, 2) complex array, and whether it was one point (v1, v2),
+    which becomes a one-row batch.  Raises OutOfRange for any other shape
+    and for a coordinate that is not finite."""
+    rows = np.asarray(v, dtype=complex)
+    single = rows.shape == (2,)
+    if single:
+        rows = rows[None]
+    if rows.ndim != 2 or rows.shape[1] != 2:
+        raise OutOfRange(f"expected a point (v1, v2) or an (n, 2) array, got shape {rows.shape}")
+    bad = _first_bad_point(np.isfinite(rows.T))
+    if bad is not None:
+        raise OutOfRange(f"point {tuple(rows[bad].tolist())} has a coordinate that is not finite")
+    return rows, single
+
+
+def _first_bad_point(ok: np.ndarray) -> int | None:
+    """Index of the first point (last axis of ok) with a False entry, or None."""
+    if np.count_nonzero(ok) == ok.size:
+        return None
+    return int(np.argmin(ok.reshape(-1, ok.shape[-1]).all(axis=0)))
+
+
+def _unwrap(x: np.ndarray, single: bool):
+    """x, indexed by point on its first axis; for a point its entry, in Python numbers."""
+    return x.tolist()[0] if single else x
+
+
+def _log_peak(Z: PeriodMatrix, v: np.ndarray) -> np.ndarray:
+    """pi y^T Y^{-1} y with y = Im v, for each row v of an (n, 2) array: the
+    log of the largest term any theta sum can have there."""
+    y = v.imag.T
+    return np.pi * (y * np.linalg.solve(Z.imag_part(), y)).sum(axis=0)
 
 
 def _radius_for(Z: PeriodMatrix, chis, v, settings: EvalSettings, grad_order: int) -> int:
-    """One radius for all of chis at v, or at every row of a batch v.
+    """One radius for all of chis at every row of v.
 
     The Gaussian centre of theta[c1; c2] at v is c1 + Y^{-1} Im(v + c2); c2
-    is real, so Y^{-1} Im v is solved once and only c1 moves the centre.  A
-    batch takes the largest shift over its rows.
+    is real, so Y^{-1} Im v is solved once and only c1 moves the centre.  The
+    largest shift over the rows and the characteristics decides.
     """
-    y = v.imag.T if _is_batch(v) else np.array([v[0].imag, v[1].imag])
-    u = np.linalg.solve(Z.imag_part(), y).reshape(2, -1)
-    shift = max(
-        float(np.abs(np.array(chi.c1_floats())[:, None] + u).max(initial=0.0))
-        for chi in chis
-    )
+    u = np.linalg.solve(Z.imag_part(), v.imag.T)
+    c1 = np.array([chi.c1_floats() for chi in chis])
+    shift = float(np.abs(c1[:, :, None] + u).max(initial=0.0))
     return truncation_radius(
         Z.min_imag_eigenvalue(), shift, settings.tol, settings.max_radius, grad_order
     )
 
 
 def _evaluate(chis, v, Z: PeriodMatrix, settings: EvalSettings, radius, grad_order: int):
-    """Kernel results for each of chis at v, all at one truncation radius.
+    """Kernel sums for each of chis at the rows of v, at one radius.
 
-    grad_order 0 gives a value per characteristic, grad_order 1 a triple
-    (value, d/dv1, d/dv2); for a batch v each entry is an (n,) array.
-    Raises OverflowError, naming the first offending point, when a sum is
-    not finite.
+    grad_order 0 gives a (len(chis), n) array of values, grad_order 1 a
+    (len(chis), 3, n) array of (value, d/dv1, d/dv2).  Raises
+    OverflowError, naming the first offending point, when a sum is not
+    finite.
     """
-    batch = _is_batch(v)
-    if batch:
-        v = v.astype(complex, copy=False)
-        v1, v2 = v[:, 0], v[:, 1]
-    else:
-        v1, v2 = v[0], v[1]
     if radius is None:
         radius = _radius_for(Z, chis, v, settings, grad_order)
     kernel = _KERNEL.theta_sum_grad if grad_order else _KERNEL.theta_sum
+    v1, v2 = v[:, 0], v[:, 1]
     out = []
     with np.errstate(over="ignore", invalid="ignore"):
         for chi in chis:
             a, c2 = chi.c1_floats(), chi.c2_floats()
-            out.append(
-                kernel(a[0], a[1], Z.z11, Z.z12, Z.z22, v1 + c2[0], v2 + c2[1], radius)
-            )
-    sums = [s for r in out for s in r] if grad_order else out
-    if batch:
-        bad = ~np.isfinite(sums).all(axis=0)
-        if bad.any():
-            raise _overflow(Z, v[int(np.argmax(bad))])
-    elif not all(map(cmath.isfinite, sums)):
-        raise _overflow(Z, v)
-    return out
-
-
-def _overflow(Z: PeriodMatrix, v) -> OverflowError:
-    return OverflowError(
-        f"theta sum at v = ({complex(v[0])}, {complex(v[1])}) is not finite: "
-        f"its Gaussian peak exp({float(_log_peak(Z, v)):.6g}) is beyond double range"
-    )
+            # every characteristic the package itself uses has c2 = 0
+            w1, w2 = (v1 + c2[0], v2 + c2[1]) if any(c2) else (v1, v2)
+            out.append(kernel(a[0], a[1], Z.z11, Z.z12, Z.z22, w1, w2, radius))
+    sums = np.array(out)
+    bad = _first_bad_point(np.isfinite(sums))
+    if bad is not None:
+        p1, p2 = v[bad].tolist()
+        raise OverflowError(
+            f"theta sum at v = ({p1}, {p2}) is not finite: its Gaussian peak "
+            f"exp({_log_peak(Z, v[bad:bad + 1])[0]:.6g}) is beyond double range"
+        )
+    return sums
 
 
 def theta_char(
@@ -174,7 +187,8 @@ def theta_char(
 
     A complex for a point, an (n,) array for an (n, 2) array of points.
     """
-    return _evaluate((chi,), v, Z, settings, radius, 0)[0]
+    rows, single = _rows(v)
+    return _unwrap(_evaluate((chi,), rows, Z, settings, radius, 0)[0], single)
 
 
 # theta[3w; 0] first, theta[w; 0] second: the odd section is their difference
@@ -193,8 +207,9 @@ def odd_theta(
     Its zero divisor is the genus-5 curve the rest of the package studies.
     A complex for a point, an (n,) array for an (n, 2) array of points.
     """
-    t3, t1 = _evaluate(_ODD_PAIR, v, Z, settings, radius, 0)
-    return t3 - t1
+    rows, single = _rows(v)
+    t3, t1 = _evaluate(_ODD_PAIR, rows, Z, settings, radius, 0)
+    return _unwrap(t3 - t1, single)
 
 
 def odd_theta_gradient(
@@ -205,8 +220,7 @@ def odd_theta_gradient(
 ):
     """Complex gradient (d/dv1, d/dv2) of the odd section; each entry is
     an (n,) array for an (n, 2) array of points."""
-    _, g = odd_theta_with_gradient(v, Z, settings, radius)
-    return g
+    return odd_theta_with_gradient(v, Z, settings, radius)[1]
 
 
 def odd_theta_with_gradient(
@@ -218,8 +232,10 @@ def odd_theta_with_gradient(
     """Value and gradient (value, (d/dv1, d/dv2)) of the odd section in one
     pass at one radius; each entry is an (n,) array for an (n, 2) array of
     points."""
-    (t3, g31, g32), (t1, g11, g12) = _evaluate(_ODD_PAIR, v, Z, settings, radius, 1)
-    return t3 - t1, (g31 - g11, g32 - g12)
+    rows, single = _rows(v)
+    s3, s1 = _evaluate(_ODD_PAIR, rows, Z, settings, radius, 1)
+    t, g1, g2 = (_unwrap(x, single) for x in s3 - s1)
+    return t, (g1, g2)
 
 
 def theta_basis(
@@ -230,5 +246,5 @@ def theta_basis(
     """Values of the four basis sections theta[k*w; 0], k = 0..3, at v: a
     list of four complexes for a point, an (n, 4) array for an (n, 2) array
     of points (row i holds the four values at point i)."""
-    out = _evaluate(_BASIS, v, Z, settings, None, 0)
-    return np.stack(out, axis=1) if _is_batch(v) else out
+    rows, single = _rows(v)
+    return _unwrap(_evaluate(_BASIS, rows, Z, settings, None, 0).T, single)

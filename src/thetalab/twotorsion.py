@@ -213,7 +213,7 @@ def classify_klein_cover(G: KleinSubgroup) -> CoverClass:
     """
     if G.is_isotropic():
         return CoverClass.NOT_HYPERELLIPTIC
-    if all(c.weight == 2 for c in G.nonzero_elements()):
+    if all(c.weight == 2 for c in (G.eta1, G.eta2, G.eta1 + G.eta2)):
         return CoverClass.HYPERELLIPTIC
     return CoverClass.UNDETERMINED
 

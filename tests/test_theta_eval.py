@@ -24,6 +24,7 @@ from thetalab import (
     OutOfRange,
     PeriodMatrix,
     RadiusExceeded,
+    SurfacePoint,
     ThetaCharacteristic,
     odd_theta,
     odd_theta_gradient,
@@ -219,7 +220,43 @@ def test_array_shapes(Z0):
     assert theta_basis(V, Z0).shape == (2, 4)
     t, (g1, g2) = odd_theta_with_gradient(V, Z0)
     assert t.shape == g1.shape == g2.shape == (2,)
-    assert odd_theta(np.empty((0, 2), complex), Z0).shape == (0,)
+    # an empty batch gives empty results from every evaluator
+    E = np.empty((0, 2), complex)
+    assert theta_char(OMEGA, E, Z0).shape == odd_theta(E, Z0).shape == (0,)
+    assert theta_basis(E, Z0).shape == (0, 4)
+    t, (g1, g2) = odd_theta_with_gradient(E, Z0)
+    assert t.shape == g1.shape == g2.shape == (0,)
+    # a single point gives Python complexes, not numpy scalars or arrays
+    for p in [(0.1 + 0.2j, 0.3), SurfacePoint(0.1 + 0.2j, 0.3), np.array([0.1 + 0.2j, 0.3])]:
+        assert type(theta_char(OMEGA, p, Z0)) is complex
+        assert type(odd_theta(p, Z0)) is complex
+        t, g = odd_theta_with_gradient(p, Z0)
+        assert type(t) is complex and type(g) is tuple and len(g) == 2
+        assert all(type(x) is complex for x in g + odd_theta_gradient(p, Z0))
+        b = theta_basis(p, Z0)
+        assert type(b) is list and len(b) == 4 and all(type(x) is complex for x in b)
+
+
+def test_nested_list_is_a_batch(Z0):
+    got = odd_theta([[0.1, 0.2]], Z0)
+    assert got.shape == (1,)
+    assert got[0] == odd_theta((0.1, 0.2), Z0)
+    assert theta_basis([[0.1, 0.2], [0.3j, 0.4]], Z0).shape == (2, 4)
+
+
+@pytest.mark.parametrize(
+    "v",
+    [[0.1, 0.2, 0.3], [0.1], np.zeros((2, 3)), np.zeros((1, 1, 2)), 0.5,
+     (float("nan"), 0.2), (float("inf") * 1j, 0.2), (0.1, complex(0.2, float("-inf"))),
+     np.array([(0.1, 0.2), (0.3, float("nan"))])],
+    ids=["three_coords", "one_coord", "n_by_3", "three_dims", "scalar",
+         "nan", "inf_imag", "neg_inf_imag", "nan_in_batch"],
+)
+def test_malformed_or_non_finite_points_rejected(Z0, v):
+    for call in (lambda: theta_char(OMEGA, v, Z0), lambda: odd_theta(v, Z0),
+                 lambda: odd_theta_with_gradient(v, Z0), lambda: theta_basis(v, Z0)):
+        with pytest.raises(OutOfRange):
+            call()
 
 
 # ---------------------------------------------------------------------------
