@@ -79,10 +79,12 @@ def _newton_lines(Z, v1, seeds, settings, tol_abs, max_iter=50):
 
     Each iteration evaluates the rows still active in one batched call, and
     each round of the 8-step line search the rows still halving lambda in
-    one call.  A row leaves when |theta| < tol_abs (converged), when
-    |d theta/dv2| < 1e-14 (flat) or when its line search finds no decrease,
-    and its outcome is then fixed; a row still active after max_iter steps
-    is judged by its last value.  Returns (v2, |theta|, |d theta/dv2|, ok)
+    one call.  A row leaves when |theta| < tol_abs (converged), when even
+    its smallest trial step |theta / (d theta/dv2)| / 128 moves v2 by more
+    than the fibre period 4 (flat; unlike a floor on |d theta/dv2|, rounding
+    cannot decide this where the derivative vanishes) or when its line
+    search finds no decrease, and its outcome is then fixed; a row still
+    active after max_iter steps is judged by its last value.  Returns (v2, |theta|, |d theta/dv2|, ok)
     as lists in seed order, and the number of points evaluated.
     """
     v2 = np.array(seeds, dtype=complex)
@@ -99,7 +101,9 @@ def _newton_lines(Z, v1, seeds, settings, tol_abs, max_iter=50):
         at, ag = np.abs(t), np.abs(g2)
         abs_t[active], abs_g[active] = at, ag
         ok[active] = at < tol_abs
-        go = ~ok[active] & ~(ag < 1e-14) if it < max_iter else np.zeros(active.size, bool)
+        # flat: the smallest trial step |t / g2| / 128 passes the period 4
+        flat = at > 128 * 4.0 * ag
+        go = ~ok[active] & ~flat if it < max_iter else np.zeros(active.size, bool)
         rows = active[go]
         base, base_abs, step = v2[rows], at[go], t[go] / g2[go]
         # indices into rows of the searches still halving lambda

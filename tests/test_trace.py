@@ -5,7 +5,6 @@ import pytest
 
 import thetalab.trace as trace
 from thetalab import PeriodMatrix, odd_theta, random_period_matrix, trace_curve
-from thetalab.errors import RadiusExceeded
 from thetalab.trace import _reduce_mod4
 
 
@@ -139,10 +138,11 @@ def test_newton_rows_do_not_depend_on_their_batch(Z0, settings, monkeypatch):
 
 # perfbench/inputs.FAULTS runs these two draws as fixed failing answers and
 # expects these exception names
-@pytest.mark.xfail(raises=RadiusExceeded, strict=True,
-                   reason="a Newton step jumps to a Gaussian-centre shift of 9e13")
 def test_trace_draw_2_stays_in_range():
-    trace_curve(random_period_matrix(np.random.default_rng(2)), grid_size=4)
+    # torsion seeds on half-period lines have d theta/dv2 = 0 exactly; they
+    # are flat, not Newton steps to a Gaussian-centre shift of 9e13
+    res = trace_curve(random_period_matrix(np.random.default_rng(2)), grid_size=4)
+    assert res.points
 
 
 @pytest.mark.xfail(raises=OverflowError, strict=True,
