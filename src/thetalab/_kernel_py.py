@@ -1,43 +1,54 @@
 """The numpy lattice-sum kernels behind every theta evaluation.
 
-Both compute truncated sums
+Both compute, for each characteristic vector a = (a1[j], a2[j]) and each
+point w = (w1[j, i], w2[j, i]), the truncated sum
 
-    sum_{l in [-R, R]^2} exp(pi*i (l+a)^T Z (l+a) + 2*pi*i (l+a).w)
+    sum_{k in [-R, R]^2} exp(pi*i m^T Z m + 2*pi*i m.w),   m = k + a,
 
-with a = (a1, a2) the first characteristic vector and w the already shifted
-argument v + c2.  The gradient variant also returns the two derivatives
-with respect to w.  w1, w2 are (n,) arrays, and every result is an (n,)
-array: one sum per point over the same box.  A single point is a batch of
-one; `theta` unwraps its result.
+with w the already shifted and centred argument (see `theta._evaluate`),
+so that every box is the same.  Each term is factored as
+F1[m1] K[m1, m2] F2[m2] with K = exp(pi*i m^T Z m), |K| <= 1, shared by
+every point, and F1 = exp(2*pi*i m1 w1), F2 = exp(2*pi*i m2 w2): 2(2R+1)
+exponentials per point instead of (2R+1)^2.  The gradient variant also
+returns the two derivatives with respect to w.  a1, a2 are (k,) arrays,
+w1, w2 are (k, n) arrays, and every result is a (k, n) array.  Products
+are elementwise and every sum runs over the last, contiguous axis, so a
+row of a batch is computed exactly as it would be alone.  Each product
+keeps its temporary operand on the left: numpy computes a product into a
+large temporary in place, with that operand first, and the operand order
+decides the rounding of a fused complex multiply.
 """
 
 import numpy as np
 
 _PI = np.pi
-_GRID = (-2, -1)  # the lattice axes of the stack of grids, one grid per point
 
 
-def _grid_terms(a1, a2, z11, z12, z22, w1, w2, radius):
+def _factors(a1, a2, z11, z12, z22, w1, w2, radius):
     ls = np.arange(-radius, radius + 1, dtype=float)
-    m1 = (ls + a1)[:, None]
-    m2 = (ls + a2)[None, :]
-    q = (1j * _PI) * (m1 * m1 * z11 + 2.0 * m1 * m2 * z12 + m2 * m2 * z22)
-    # one grid per point, stacked on axis 0; built in place, so a batch
-    # holds one (n, 2R+1, 2R+1) array at a time
-    e = m1 * w1[:, None, None] + m2 * w2[:, None, None]
-    e *= 2j * _PI
-    e += q
-    return m1, m2, np.exp(e, out=e)
+    m1 = ls + a1[:, None]  # (k, 2R+1)
+    m2 = ls + a2[:, None]
+    # pi i m^T Z m = pi i (z11 m1^2 + 2 z12 m1 m2 + z22 m2^2), from (k, 2R+1) rows
+    q11 = m1 * m1 * (z11 * 1j * _PI)
+    q12 = m1 * (z12 * 2j * _PI)
+    q22 = m2 * m2 * (z22 * 1j * _PI)
+    k = np.exp(q11[:, :, None] + (q12[:, :, None] * m2[:, None, :] + q22[:, None, :]))
+    f1 = np.exp((m1[:, None, :] * w1[:, :, None]) * (2j * _PI))  # (k, n, 2R+1)
+    f2 = np.exp((m2[:, None, :] * w2[:, :, None]) * (2j * _PI))
+    # (k, n, 2R+1, 2R+1): row l1 of K times F2, for each point
+    kf2 = k[:, None] * f2[:, :, None, :]
+    return m1[:, None, :], m2[:, None, None, :], f1, kf2
 
 
 def theta_sum(a1, a2, z11, z12, z22, w1, w2, radius):
-    _, _, e = _grid_terms(a1, a2, z11, z12, z22, w1, w2, radius)
-    return e.sum(axis=_GRID)
+    _, _, f1, kf2 = _factors(a1, a2, z11, z12, z22, w1, w2, radius)
+    return (kf2.sum(axis=-1) * f1).sum(axis=-1)
 
 
 def theta_sum_grad(a1, a2, z11, z12, z22, w1, w2, radius):
-    m1, m2, e = _grid_terms(a1, a2, z11, z12, z22, w1, w2, radius)
-    value = e.sum(axis=_GRID)
-    g1 = (2j * _PI) * (m1 * e).sum(axis=_GRID)
-    g2 = (2j * _PI) * (m2 * e).sum(axis=_GRID)
+    m1, m2, f1, kf2 = _factors(a1, a2, z11, z12, z22, w1, w2, radius)
+    inner = kf2.sum(axis=-1)
+    value = (inner * f1).sum(axis=-1)
+    g1 = (inner * f1 * m1).sum(axis=-1) * (2j * _PI)
+    g2 = ((kf2 * m2).sum(axis=-1) * f1).sum(axis=-1) * (2j * _PI)
     return value, g1, g2

@@ -6,27 +6,34 @@ a point v in C^2,
     theta[c1; c2](v, Z) = sum_{l in Z^2} exp( pi*i (l+c1)^T Z (l+c1)
                                               + 2*pi*i (l+c1) . (v+c2) ).
 
-The truncation box [-R, R]^2 is chosen so that a Gaussian majorant of the
-dropped tail, normalised by the dominant term's magnitude, falls below the
-requested tolerance.  Every public evaluator goes through `_evaluate`, which
-picks one radius per call and runs the numpy lattice sum in `_kernel_py`
-once per characteristic.
+Every public evaluator goes through `_evaluate`, which centres each point
+on its Gaussian peak: the lattice is shifted by the nearest integer vector
+n0 to the peak, so every sum runs over a box [-R, R]^2 whose centre lies
+within 1/2 of the origin, times a factor exp(pi i n0 . (w + w')) carried
+on the log scale.  The radius R is chosen so that a Gaussian majorant of
+the dropped tail, normalised by the dominant term's magnitude, falls below
+the requested tolerance; it depends only on (Z, tol, gradient order), and
+`truncation_radius` caches it.  An explicit `radius=` is the half-width of
+each row's centred box.  One call of the factored numpy kernel in
+`_kernel_py` sums every characteristic of an evaluation at every row.
 
 Each evaluator takes one point v = (v1, v2), returning Python complexes,
 or an (n, 2) array of points, one per row, returning arrays indexed by
 row.  A point is a one-row batch: `_rows` makes the (n, 2) complex array
 the only point format below the public functions, and raises OutOfRange
-for any other shape and for a coordinate that is not finite.  A batch is
-summed over one box at the radius `truncation_radius` picks for the
-largest Gaussian-centre shift among its rows; the tail majorant grows with
-the shift, so every row keeps at least the certificate it would get alone.
-A sum beyond double range (a Gaussian peak exp(pi y^T Y^-1 y) above about
-1e308, y = Im v) raises OverflowError instead of returning nan.
+for any other shape and for a coordinate that is not finite.  Each row of
+a batch is computed elementwise, exactly as it would be alone, except that
+the gradient radius is taken at the batch's largest |n0|.  A point whose
+shift factor is beyond double range (a Gaussian peak exp(pi y^T Y^-1 y)
+above about 1e308, y = Im v) raises OverflowError instead of returning
+nan.
 """
 
 from __future__ import annotations
 
+import functools
 import math
+import sys
 
 import numpy as np
 
@@ -71,6 +78,7 @@ def _tail_below(lam: float, shift: float, radius: int, grad_order: int, tol: flo
     return True
 
 
+@functools.lru_cache(maxsize=1024)
 def truncation_radius(
     lam_min: float, shift: float, tol: float, max_radius: int, grad_order: int = 0
 ) -> int:
@@ -124,56 +132,79 @@ def _unwrap(x: np.ndarray, single: bool):
     return x.tolist()[0] if single else x
 
 
+def _imag_solve(Z: PeriodMatrix, y: np.ndarray) -> np.ndarray:
+    """Y^{-1} y for Y = Im Z and each row y of an (n, 2) array, in closed
+    form and elementwise, so that each row is computed alone."""
+    a, b, c = Z.z11.imag, Z.z12.imag, Z.z22.imag
+    inv = np.array([[c, -b], [-b, a]]) / (a * c - b * b)
+    return y[:, :1] * inv[0] + y[:, 1:] * inv[1]
+
+
 def _log_peak(Z: PeriodMatrix, v: np.ndarray) -> np.ndarray:
     """pi y^T Y^{-1} y with y = Im v, for each row v of an (n, 2) array: the
     log of the largest term any theta sum can have there."""
-    y = v.imag.T
-    return np.pi * (y * np.linalg.solve(Z.imag_part(), y)).sum(axis=0)
+    y = v.imag
+    return np.pi * (y * _imag_solve(Z, y)).sum(axis=1)
 
 
-def _radius_for(Z: PeriodMatrix, chis, v, settings: EvalSettings, grad_order: int) -> int:
-    """One radius for all of chis at every row of v.
+def _characteristics(*chis: ThetaCharacteristic):
+    """c1 of each of chis as a (k, 1, 2) array, and c2 likewise, or None
+    when every c2 is zero (as for every characteristic the package uses)."""
+    c1 = np.array([x.c1_floats() for x in chis])[:, None, :]
+    c2 = np.array([x.c2_floats() for x in chis])[:, None, :]
+    return c1, (c2 if c2.any() else None)
 
-    The Gaussian centre of theta[c1; c2] at v is c1 + Y^{-1} Im(v + c2); c2
-    is real, so Y^{-1} Im v is solved once and only c1 moves the centre.  The
-    largest shift over the rows and the characteristics decides.
+
+_LOG_DBL_MAX = math.log(sys.float_info.max)
+
+
+def _evaluate(chars, v, Z: PeriodMatrix, settings: EvalSettings, radius, grad_order: int):
+    """Kernel sums for each characteristic of chars (see `_characteristics`)
+    at the rows of v, each over its own box.
+
+    Row v and characteristic [c1; c2] are centred on the Gaussian peak:
+    with w = v + c2, n0 = rint(-Y^{-1} Im v - c1) and w' = w + Z n0,
+
+        theta[c1; c2](v) = P S(w'),   P = exp(pi i n0 . (w + w')),
+
+    where S is the same series summed over k in [-R, R]^2, whose centre
+    lies within 1/2 of the origin.  So the radius depends only on (Z, tol,
+    grad_order), and the gradient is P (grad S + 2 pi i n0 S).  Its tail
+    carries the factor 2 pi (k + 1 + |n0|), so it is certified at
+    tol / (1 + max |n0|).  grad_order 0 gives a (k, n) array of values,
+    grad_order 1 a (k, 3, n) array of (value, d/dv1, d/dv2).  Raises
+    OverflowError, naming the first offending point, when a factor P is
+    beyond double range.
     """
-    u = np.linalg.solve(Z.imag_part(), v.imag.T)
-    c1 = np.array([chi.c1_floats() for chi in chis])
-    shift = float(np.abs(c1[:, :, None] + u).max(initial=0.0))
-    return truncation_radius(
-        Z.min_imag_eigenvalue(), shift, settings.tol, settings.max_radius, grad_order
-    )
-
-
-def _evaluate(chis, v, Z: PeriodMatrix, settings: EvalSettings, radius, grad_order: int):
-    """Kernel sums for each of chis at the rows of v, at one radius.
-
-    grad_order 0 gives a (len(chis), n) array of values, grad_order 1 a
-    (len(chis), 3, n) array of (value, d/dv1, d/dv2).  Raises
-    OverflowError, naming the first offending point, when a sum is not
-    finite.
-    """
-    if radius is None:
-        radius = _radius_for(Z, chis, v, settings, grad_order)
-    kernel = _KERNEL.theta_sum_grad if grad_order else _KERNEL.theta_sum
-    v1, v2 = v[:, 0], v[:, 1]
-    out = []
-    with np.errstate(over="ignore", invalid="ignore"):
-        for chi in chis:
-            a, c2 = chi.c1_floats(), chi.c2_floats()
-            # every characteristic the package itself uses has c2 = 0
-            w1, w2 = (v1 + c2[0], v2 + c2[1]) if any(c2) else (v1, v2)
-            out.append(kernel(a[0], a[1], Z.z11, Z.z12, Z.z22, w1, w2, radius))
-    sums = np.array(out)
-    bad = _first_bad_point(np.isfinite(sums))
-    if bad is not None:
+    c1, c2 = chars
+    w = v if c2 is None else v + c2
+    n = np.rint(-_imag_solve(Z, v.imag) - c1)  # (k, n, 2)
+    zm = Z.as_matrix()
+    wp = w + (n[..., :1] * zm[0] + n[..., 1:] * zm[1])
+    log_p = ((w + wp) * n).sum(axis=-1) * (1j * np.pi)
+    if log_p.real.max(initial=-np.inf) > _LOG_DBL_MAX:
+        bad = int(np.argmax((log_p.real > _LOG_DBL_MAX).any(axis=0)))
         p1, p2 = v[bad].tolist()
         raise OverflowError(
             f"theta sum at v = ({p1}, {p2}) is not finite: its Gaussian peak "
             f"exp({_log_peak(Z, v[bad:bad + 1])[0]:.6g}) is beyond double range"
         )
-    return sums
+    p = np.exp(log_p)
+    a1, a2 = c1[:, 0, 0], c1[:, 0, 1]
+    args = (a1, a2, Z.z11, Z.z12, Z.z22, wp[..., 0], wp[..., 1])
+    lam = Z.min_imag_eigenvalue()
+    if grad_order:
+        if radius is None:
+            nbar = float(np.abs(n).max(initial=0.0))
+            radius = truncation_radius(lam, 0.5, settings.tol / (1.0 + nbar), settings.max_radius, 1)
+        s, g1, g2 = _KERNEL.theta_sum_grad(*args, radius)
+        twopi_i_s = s * (2j * np.pi)
+        return np.stack(
+            (s * p, (g1 + n[..., 0] * twopi_i_s) * p, (g2 + n[..., 1] * twopi_i_s) * p), axis=1
+        )
+    if radius is None:
+        radius = truncation_radius(lam, 0.5, settings.tol, settings.max_radius, 0)
+    return _KERNEL.theta_sum(*args, radius) * p
 
 
 def theta_char(
@@ -188,12 +219,12 @@ def theta_char(
     A complex for a point, an (n,) array for an (n, 2) array of points.
     """
     rows, single = _rows(v)
-    return _unwrap(_evaluate((chi,), rows, Z, settings, radius, 0)[0], single)
+    return _unwrap(_evaluate(_characteristics(chi), rows, Z, settings, radius, 0)[0], single)
 
 
 # theta[3w; 0] first, theta[w; 0] second: the odd section is their difference
-_ODD_PAIR = (quarter_characteristic(3), OMEGA)
-_BASIS = tuple(quarter_characteristic(k) for k in range(4))
+_ODD_PAIR = _characteristics(quarter_characteristic(3), OMEGA)
+_BASIS = _characteristics(*(quarter_characteristic(k) for k in range(4)))
 
 
 def odd_theta(

@@ -107,6 +107,20 @@ def test_array_call_against_direct_sum(Z0):
         assert g == pytest.approx(reference_theta(chi, v, Z0), rel=1e-11, abs=1e-13)
 
 
+def test_large_peak_against_direct_sum(settings):
+    # a Newton point of the tracer on draw 81, where the Gaussian peak is
+    # exp(190.6): the sum is centred on the peak, so no factor of a term
+    # leaves double range
+    Z = random_period_matrix(np.random.default_rng(81))
+    v = (0.70058 + 2.07419j, -1.68643 + 11.53567j)
+    peak = _envelope_peak(Z, v)
+    assert 1e82 < peak < 1e83
+    want = (reference_theta(quarter_characteristic(3), v, Z, radius=24)
+            - reference_theta(OMEGA, v, Z, radius=24))
+    assert abs(odd_theta(v, Z, settings) - want) <= settings.tol * peak
+    assert abs(odd_theta_with_gradient(v, Z, settings)[0] - want) <= settings.tol * peak
+
+
 def test_frozen_regression_value(Z0):
     got = odd_theta((0.31 + 0.12j, -0.2 + 0.45j), Z0)
     want = 0.4779926363854756 + 0.029452518355850443j
@@ -147,12 +161,14 @@ def _envelope_peak(Z, v):
     return math.exp(math.pi * y @ np.linalg.solve(Z.imag_part(), y))
 
 
-def _batch_radius(Z, V, chis, tol, grad_order):
-    """The radius the batch rule picks: truncation_radius at the largest
-    centre shift c1 + Y^-1 Im v over the rows and the characteristics."""
+def _gradient_radius(Z, V, tol):
+    """The gradient radius of a batch: truncation_radius at tol / (1 + n),
+    n the largest |n0| over the rows and the odd pair's characteristics,
+    where n0 = rint(-Y^-1 Im v - c1) is the lattice shift to the peak."""
     u = np.linalg.solve(Z.imag_part(), np.imag(V).T)
-    shift = max(float(np.abs(np.array(chi.c1_floats())[:, None] + u).max()) for chi in chis)
-    return truncation_radius(Z.min_imag_eigenvalue(), shift, tol, 64, grad_order)
+    c1 = np.array([(0.0, 0.75), (0.0, 0.25)])[:, :, None]
+    nbar = float(np.abs(np.rint(-u - c1)).max())
+    return truncation_radius(Z.min_imag_eigenvalue(), 0.5, tol / (1.0 + nbar), 64, 1)
 
 
 def _odd_with_grad(v, Z, s, radius=None):
@@ -180,26 +196,27 @@ def test_array_call_matches_single_points(batch, chi):
 
 @hsettings(max_examples=40, deadline=None)
 @given(batches(shared_imag=False), st.sampled_from(CHIS))
-def test_array_radius_is_taken_at_the_largest_shift(batch, chi):
-    # a batch is summed at the radius of its largest centre shift, which
-    # certifies every row at least as well as its own radius would
+def test_rows_with_different_shifts_match_single_points(batch, chi):
+    # each row is summed over its own centred box, so with different Im v a
+    # row of a batch is its single call bit for bit, at the default radius
+    # and at an explicit one; only the default gradient radius is the
+    # batch's, taken at its largest lattice shift
     Z, V, tol = batch
     s = EvalSettings(tol=tol)
-    odd = (quarter_characteristic(3), OMEGA)
-    r_chi = _batch_radius(Z, V, (chi,), tol, 0)
-    r_odd = _batch_radius(Z, V, odd, tol, 0)
-    r_grad = _batch_radius(Z, V, odd, tol, 1)
-    r_basis = _batch_radius(Z, V, CHIS[:4], tol, 0)
-    arrays = [theta_char(chi, V, Z, s), odd_theta(V, Z, s), theta_basis(V, Z, s),
-              _odd_with_grad(V, Z, s).T]
-    for i, v in enumerate(V):
-        p = (complex(v[0]), complex(v[1]))
-        singles = [theta_char(chi, p, Z, s, r_chi), odd_theta(p, Z, s, r_odd),
-                   [theta_char(c, p, Z, s, r_basis) for c in CHIS[:4]],
-                   _odd_with_grad(p, Z, s, r_grad)]
-        bound = 1e-14 * _envelope_peak(Z, v)
-        for arr, single in zip(arrays, singles):
-            assert np.max(np.abs(arr[i] - np.asarray(single))) <= bound
+    r_grad = _gradient_radius(Z, V, tol)
+    for radius in (None, 5):
+        arrays = [theta_char(chi, V, Z, s, radius), odd_theta(V, Z, s, radius),
+                  _odd_with_grad(V, Z, s, radius).T]
+        if radius is None:
+            arrays.append(theta_basis(V, Z, s))
+        for i, v in enumerate(V):
+            p = (complex(v[0]), complex(v[1]))
+            singles = [theta_char(chi, p, Z, s, radius), odd_theta(p, Z, s, radius),
+                       _odd_with_grad(p, Z, s, radius or r_grad)]
+            if radius is None:
+                singles.append(theta_basis(p, Z, s))
+            for arr, single in zip(arrays, singles):
+                assert np.array_equal(arr[i], np.asarray(single))
 
 
 def test_large_array_matches_single_points(Z0, rng):
