@@ -77,50 +77,64 @@ def _line_points(v1: complex, v2s: np.ndarray) -> np.ndarray:
 def _newton_lines(Z, v1, seeds, settings, tol_abs, max_iter=50):
     """Damped Newton for theta_A(v1, .) = 0 from every seed at once.
 
-    Each iteration evaluates the rows still active in one batched call, and
-    each round of the 8-step line search the rows still halving lambda in
-    one call.  A row leaves when |theta| < tol_abs (converged), when even
-    its smallest trial step |theta / (d theta/dv2)| / 128 moves v2 by more
-    than the fibre period 4 (flat; unlike a floor on |d theta/dv2|, rounding
-    cannot decide this where the derivative vanishes) or when its line
-    search finds no decrease, and its outcome is then fixed; a row still
-    active after max_iter steps is judged by its last value.  Returns (v2, |theta|, |d theta/dv2|, ok)
-    as lists in seed order, and the number of points evaluated.
+    Each Newton step tries the full step lambda = 1 for every row still
+    active in one batched value-and-gradient call; a row that takes it
+    carries that evaluation into its next step.  The rows still halving
+    lambda (down to 1/128) are evaluated value-only, one call per round,
+    and a row that takes a halved step is evaluated afresh, with the seeds,
+    at the start of its next step.  A row leaves when |theta| < tol_abs
+    (converged), when even its smallest trial step |theta / (d theta/dv2)|
+    / 128 moves v2 by more than the fibre period 4 (flat; unlike a floor on
+    |d theta/dv2|, rounding cannot decide this where the derivative
+    vanishes) or when its line search finds no decrease, and its outcome is
+    then fixed; a row still active after max_iter steps is judged by its
+    last value.  Returns (v2, |theta|, |d theta/dv2|, ok) as lists in seed
+    order, and the number of points evaluated.
     """
     v2 = np.array(seeds, dtype=complex)
     n = len(v2)
-    abs_t, abs_g = np.zeros(n), np.zeros(n)
+    t, g2 = np.zeros(n, complex), np.zeros(n, complex)  # theta_A and d/dv2 at v2
     ok = np.zeros(n, dtype=bool)
-    active = np.arange(n)
+    active = fresh = np.arange(n)
     calls = 0
     for it in range(max_iter + 1):
-        if not active.size:
-            break
-        t, (_, g2) = odd_theta_with_gradient(_line_points(v1, v2[active]), Z, settings)
-        calls += active.size
-        at, ag = np.abs(t), np.abs(g2)
-        abs_t[active], abs_g[active] = at, ag
+        if fresh.size:
+            t[fresh], (_, g2[fresh]) = odd_theta_with_gradient(
+                _line_points(v1, v2[fresh]), Z, settings)
+            calls += fresh.size
+        at, ag = np.abs(t[active]), np.abs(g2[active])
         ok[active] = at < tol_abs
         # flat: the smallest trial step |t / g2| / 128 passes the period 4
         flat = at > 128 * 4.0 * ag
         go = ~ok[active] & ~flat if it < max_iter else np.zeros(active.size, bool)
         rows = active[go]
-        base, base_abs, step = v2[rows], at[go], t[go] / g2[go]
+        if not rows.size:
+            break
+        base, base_abs, step = v2[rows], at[go], t[rows] / g2[rows]
+        cand = base - step
+        tc, (_, gc) = odd_theta_with_gradient(_line_points(v1, cand), Z, settings)
+        calls += rows.size
+        better = np.abs(tc) < base_abs
+        took = rows[better]
+        v2[took], t[took], g2[took] = cand[better], tc[better], gc[better]
         # indices into rows of the searches still halving lambda
-        search = np.arange(rows.size)
-        lam = 1.0
-        for _ in range(8):
+        search = np.flatnonzero(~better)
+        halved = []
+        lam = 0.5
+        for _ in range(7):
             if not search.size:
                 break
             cand = base[search] - lam * step[search]
-            t2 = odd_theta(_line_points(v1, cand), Z, settings)
+            tc = odd_theta(_line_points(v1, cand), Z, settings)
             calls += search.size
-            better = np.abs(t2) < base_abs[search]
-            v2[rows[search[better]]] = cand[better]
+            better = np.abs(tc) < base_abs[search]
+            halved.append(rows[search[better]])
+            v2[halved[-1]] = cand[better]
             search = search[~better]
             lam *= 0.5
+        fresh = np.concatenate(halved) if halved else search[:0]
         active = np.delete(rows, search)
-    return v2.tolist(), abs_t.tolist(), abs_g.tolist(), ok.tolist(), calls
+    return v2.tolist(), np.abs(t).tolist(), np.abs(g2).tolist(), ok.tolist(), calls
 
 
 def _is_duplicate(v2, found, tol=1e-6):
