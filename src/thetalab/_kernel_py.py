@@ -1,40 +1,35 @@
 """The numpy lattice-sum kernels behind every theta evaluation.
 
-Both compute, for each characteristic vector a = (a1[j], a2[j]) and each
-point w = (w1[j, i], w2[j, i]), the truncated sum
+For characteristic vectors a = (a1[j], a2[j]) and centred arguments
+w = (w1[j, i], w2[j, i]) (see `theta._evaluate`), both compute
 
     sum_{k in [-R, R]^2} exp(pi*i m^T Z m + 2*pi*i m.w),   m = k + a,
 
-with w the already shifted and centred argument (see `theta._evaluate`),
-so that every box is the same.  Each term is factored as
-F1[m1] K[m1, m2] F2[m2] with K = exp(pi*i m^T Z m), |K| <= 1, shared by
-every point, and F1 = exp(2*pi*i m1 w1), F2 = exp(2*pi*i m2 w2): 2(2R+1)
-exponentials per point instead of (2R+1)^2.  The gradient variant also
-returns the two derivatives with respect to w.  a1, a2 are (k,) arrays,
-w1, w2 are (k, n) arrays, and every result is a (k, n) array.  Products
-are elementwise and every sum runs over the last, contiguous axis, so a
-row of a batch is computed exactly as it would be alone.  Each product
-keeps its temporary operand on the left: numpy computes a product into a
-large temporary in place, with that operand first, and the operand order
-decides the rounding of a fused complex multiply.
+as a (k, n) array; the gradient variant adds the two derivatives in w.
+Each term is F1[m1] K[m1, m2] F2[m2] with K = exp(pi*i m^T Z m), |K| <= 1,
+shared by every point, F1 = exp(2*pi*i m1 w1) and F2 = exp(2*pi*i m2 w2):
+2(2R+1) exponentials per point instead of (2R+1)^2.  Products are
+elementwise and sums run over the last, contiguous axis, so a row of a
+batch is computed exactly as it would be alone.  Each product keeps its
+temporary operand first, as numpy's in-place reuse of a large temporary
+does, because operand order decides the rounding of a fused complex
+multiply.
 """
 
 import numpy as np
-
-_PI = np.pi
 
 
 def _factors(a1, a2, z11, z12, z22, w1, w2, radius):
     ls = np.arange(-radius, radius + 1, dtype=float)
     m1 = ls + a1[:, None]  # (k, 2R+1)
     m2 = ls + a2[:, None]
-    # pi i m^T Z m = pi i (z11 m1^2 + 2 z12 m1 m2 + z22 m2^2), from (k, 2R+1) rows
-    q11 = m1 * m1 * (z11 * 1j * _PI)
-    q12 = m1 * (z12 * 2j * _PI)
-    q22 = m2 * m2 * (z22 * 1j * _PI)
+    # pi i m^T Z m = pi i (z11 m1^2 + 2 z12 m1 m2 + z22 m2^2)
+    q11 = m1 * m1 * (z11 * 1j * np.pi)
+    q12 = m1 * (z12 * 2j * np.pi)
+    q22 = m2 * m2 * (z22 * 1j * np.pi)
     k = np.exp(q11[:, :, None] + (q12[:, :, None] * m2[:, None, :] + q22[:, None, :]))
-    f1 = np.exp((m1[:, None, :] * w1[:, :, None]) * (2j * _PI))  # (k, n, 2R+1)
-    f2 = np.exp((m2[:, None, :] * w2[:, :, None]) * (2j * _PI))
+    f1 = np.exp((m1[:, None, :] * w1[:, :, None]) * (2j * np.pi))  # (k, n, 2R+1)
+    f2 = np.exp((m2[:, None, :] * w2[:, :, None]) * (2j * np.pi))
     # (k, n, 2R+1, 2R+1): row l1 of K times F2, for each point
     kf2 = k[:, None] * f2[:, :, None, :]
     return m1[:, None, :], m2[:, None, None, :], f1, kf2
@@ -49,6 +44,6 @@ def theta_sum_grad(a1, a2, z11, z12, z22, w1, w2, radius):
     m1, m2, f1, kf2 = _factors(a1, a2, z11, z12, z22, w1, w2, radius)
     inner = kf2.sum(axis=-1)
     value = (inner * f1).sum(axis=-1)
-    g1 = (inner * f1 * m1).sum(axis=-1) * (2j * _PI)
-    g2 = ((kf2 * m2).sum(axis=-1) * f1).sum(axis=-1) * (2j * _PI)
+    g1 = (inner * f1 * m1).sum(axis=-1) * (2j * np.pi)
+    g2 = ((kf2 * m2).sum(axis=-1) * f1).sum(axis=-1) * (2j * np.pi)
     return value, g1, g2

@@ -25,7 +25,7 @@ from .siegel import (
     random_point,
     two_torsion_points,
 )
-from .theta import _log_peak, _points, _rows, _unwrap
+from .theta import _gaussian_peak, _points, _rows, _unwrap
 from .theta import odd_theta, odd_theta_with_gradient, theta_basis
 
 # classification thresholds, relative to the scan's scale
@@ -43,7 +43,7 @@ def canonical_weight(Z: PeriodMatrix, v):
     array for an (n, 2) array of points.
     """
     rows, single = _rows(v)
-    return _unwrap(np.exp(-_log_peak(Z, rows)), single)
+    return _unwrap(np.exp(-_gaussian_peak(Z, rows)[1]), single)
 
 # fixed torus coordinates used to probe the overall magnitude of the odd
 # section; deterministic so that repeated scans agree bit-for-bit

@@ -6,27 +6,21 @@ a point v in C^2,
     theta[c1; c2](v, Z) = sum_{l in Z^2} exp( pi*i (l+c1)^T Z (l+c1)
                                               + 2*pi*i (l+c1) . (v+c2) ).
 
-Every public evaluator goes through `_evaluate`, which centres each point
-on its Gaussian peak: the lattice is shifted by the nearest integer vector
-n0 to the peak, so every sum runs over a box [-R, R]^2 whose centre lies
-within 1/2 of the origin, times a factor exp(pi i n0 . (w + w')) carried
-on the log scale.  The radius R is chosen so that a Gaussian majorant of
-the dropped tail, normalised by the dominant term's magnitude, falls below
-the requested tolerance; it depends only on (Z, tol, gradient order), and
-`truncation_radius` caches it.  An explicit `radius=` is the half-width of
-each row's centred box.  One call of the factored numpy kernel in
-`_kernel_py` sums every characteristic of an evaluation at every row.
+Every public evaluator goes through `_evaluate`, which centres each sum on
+its Gaussian peak (see there), so the truncation box [-R, R]^2 has the
+same radius for every point: the least R whose Gaussian majorant of the
+dropped tail, relative to the dominant term, is below the tolerance.  It
+depends only on (Z, tol, gradient order), and `truncation_radius` caches
+it; an explicit `radius=` is the half-width of each row's centred box.
 
 Each evaluator takes one point v = (v1, v2), returning Python complexes,
 or an (n, 2) array of points, one per row, returning arrays indexed by
 row.  A point is a one-row batch: `_rows` makes the (n, 2) complex array
 the only point format below the public functions, and raises OutOfRange
-for any other shape and for a coordinate that is not finite.  Each row of
-a batch is computed elementwise, exactly as it would be alone, except that
-the gradient radius is taken at the batch's largest |n0|.  A point whose
-shift factor is beyond double range (a Gaussian peak exp(pi y^T Y^-1 y)
-above about 1e308, y = Im v) raises OverflowError instead of returning
-nan.
+for any other shape and for a coordinate that is not finite.  A row of a
+batch is its single call bit for bit, except that the default gradient
+radius is the batch's.  A point whose Gaussian peak exp(pi y^T Y^-1 y),
+y = Im v, is beyond double range raises OverflowError, not nan.
 """
 
 from __future__ import annotations
@@ -114,17 +108,11 @@ def _rows(v) -> tuple[np.ndarray, bool]:
         rows = rows[None]
     if rows.ndim != 2 or rows.shape[1] != 2:
         raise OutOfRange(f"expected a point (v1, v2) or an (n, 2) array, got shape {rows.shape}")
-    bad = _first_bad_point(np.isfinite(rows.T))
-    if bad is not None:
-        raise OutOfRange(f"point {tuple(rows[bad].tolist())} has a coordinate that is not finite")
+    finite = np.isfinite(rows)
+    if not finite.all():
+        bad = rows[np.argmin(finite.all(axis=1))]
+        raise OutOfRange(f"point {tuple(bad.tolist())} has a coordinate that is not finite")
     return rows, single
-
-
-def _first_bad_point(ok: np.ndarray) -> int | None:
-    """Index of the first point (last axis of ok) with a False entry, or None."""
-    if np.count_nonzero(ok) == ok.size:
-        return None
-    return int(np.argmin(ok.reshape(-1, ok.shape[-1]).all(axis=0)))
 
 
 def _unwrap(x: np.ndarray, single: bool):
@@ -132,19 +120,15 @@ def _unwrap(x: np.ndarray, single: bool):
     return x.tolist()[0] if single else x
 
 
-def _imag_solve(Z: PeriodMatrix, y: np.ndarray) -> np.ndarray:
-    """Y^{-1} y for Y = Im Z and each row y of an (n, 2) array, in closed
-    form and elementwise, so that each row is computed alone."""
+def _gaussian_peak(Z: PeriodMatrix, v: np.ndarray):
+    """u = Y^{-1} Im v for each row of an (n, 2) array v, in closed form and
+    elementwise so that each row is computed alone, and the log of the
+    largest term any theta sum can have there, pi (Im v) . u."""
+    y = v.imag
     a, b, c = Z.z11.imag, Z.z12.imag, Z.z22.imag
     inv = np.array([[c, -b], [-b, a]]) / (a * c - b * b)
-    return y[:, :1] * inv[0] + y[:, 1:] * inv[1]
-
-
-def _log_peak(Z: PeriodMatrix, v: np.ndarray) -> np.ndarray:
-    """pi y^T Y^{-1} y with y = Im v, for each row v of an (n, 2) array: the
-    log of the largest term any theta sum can have there."""
-    y = v.imag
-    return np.pi * (y * _imag_solve(Z, y)).sum(axis=1)
+    u = y[:, :1] * inv[0] + y[:, 1:] * inv[1]
+    return u, np.pi * (y * u).sum(axis=1)
 
 
 def _characteristics(*chis: ThetaCharacteristic):
@@ -160,51 +144,48 @@ _LOG_DBL_MAX = math.log(sys.float_info.max)
 
 def _evaluate(chars, v, Z: PeriodMatrix, settings: EvalSettings, radius, grad_order: int):
     """Kernel sums for each characteristic of chars (see `_characteristics`)
-    at the rows of v, each over its own box.
+    at the rows of v: a (k, n) array of values, or for grad_order 1 a
+    (k, 3, n) array of (value, d/dv1, d/dv2).
 
-    Row v and characteristic [c1; c2] are centred on the Gaussian peak:
+    Each row and characteristic [c1; c2] is centred on its Gaussian peak:
     with w = v + c2, n0 = rint(-Y^{-1} Im v - c1) and w' = w + Z n0,
-
-        theta[c1; c2](v) = P S(w'),   P = exp(pi i n0 . (w + w')),
-
-    where S is the same series summed over k in [-R, R]^2, whose centre
-    lies within 1/2 of the origin.  So the radius depends only on (Z, tol,
-    grad_order), and the gradient is P (grad S + 2 pi i n0 S).  Its tail
-    carries the factor 2 pi (k + 1 + |n0|), so it is certified at
-    tol / (1 + max |n0|).  grad_order 0 gives a (k, n) array of values,
-    grad_order 1 a (k, 3, n) array of (value, d/dv1, d/dv2).  Raises
-    OverflowError, naming the first offending point, when a factor P is
-    beyond double range.
+    theta(v) = P S(w') with P = exp(pi i n0 . (w + w')), where the kernel
+    sums S over a box whose centre lies within 1/2 of the origin.  The
+    gradient is P (grad S + 2 pi i n0 S); its tail carries the factor
+    2 pi (k + 1 + |n0|), so it is certified at tol / (1 + max |n0|).
+    Raises OverflowError, naming the first offending point, when its peak,
+    or P times a sum, is beyond double range.
     """
     c1, c2 = chars
+    u, log_peak = _gaussian_peak(Z, v)
     w = v if c2 is None else v + c2
-    n = np.rint(-_imag_solve(Z, v.imag) - c1)  # (k, n, 2)
-    zm = Z.as_matrix()
-    wp = w + (n[..., :1] * zm[0] + n[..., 1:] * zm[1])
+    n = np.rint(-u - c1)  # (k, n, 2)
+    wp = w + (n[..., None, :] * Z.as_matrix()).sum(axis=-1)
     log_p = ((w + wp) * n).sum(axis=-1) * (1j * np.pi)
-    if log_p.real.max(initial=-np.inf) > _LOG_DBL_MAX:
-        bad = int(np.argmax((log_p.real > _LOG_DBL_MAX).any(axis=0)))
-        p1, p2 = v[bad].tolist()
-        raise OverflowError(
-            f"theta sum at v = ({p1}, {p2}) is not finite: its Gaussian peak "
-            f"exp({_log_peak(Z, v[bad:bad + 1])[0]:.6g}) is beyond double range"
-        )
-    p = np.exp(log_p)
-    a1, a2 = c1[:, 0, 0], c1[:, 0, 1]
-    args = (a1, a2, Z.z11, Z.z12, Z.z22, wp[..., 0], wp[..., 1])
-    lam = Z.min_imag_eigenvalue()
-    if grad_order:
-        if radius is None:
-            nbar = float(np.abs(n).max(initial=0.0))
-            radius = truncation_radius(lam, 0.5, settings.tol / (1.0 + nbar), settings.max_radius, 1)
-        s, g1, g2 = _KERNEL.theta_sum_grad(*args, radius)
-        twopi_i_s = s * (2j * np.pi)
-        return np.stack(
-            (s * p, (g1 + n[..., 0] * twopi_i_s) * p, (g2 + n[..., 1] * twopi_i_s) * p), axis=1
-        )
     if radius is None:
-        radius = truncation_radius(lam, 0.5, settings.tol, settings.max_radius, 0)
-    return _KERNEL.theta_sum(*args, radius) * p
+        nbar = float(np.abs(n).max(initial=0.0)) if grad_order else 0.0
+        radius = truncation_radius(Z.min_imag_eigenvalue(), 0.5, settings.tol / (1.0 + nbar),
+                                   settings.max_radius, grad_order)
+    args = (c1[:, 0, 0], c1[:, 0, 1], Z.z11, Z.z12, Z.z22, wp[..., 0], wp[..., 1], radius)
+    if grad_order:
+        s, g1, g2 = _KERNEL.theta_sum_grad(*args)
+        twopi_i_s = s * (2j * np.pi)
+        out = np.stack((s, g1 + n[..., 0] * twopi_i_s, g2 + n[..., 1] * twopi_i_s), axis=1)
+    else:
+        out = _KERNEL.theta_sum(*args)
+    # |P| is at most the peak, but P times a sum can leave double range too
+    re, mag = log_p.real, np.abs(out)
+    top = re.max(initial=-np.inf) + math.log(mag.max(initial=1e-300))
+    if not log_peak.max(initial=0.0) <= _LOG_DBL_MAX or top > _LOG_DBL_MAX:
+        size = np.maximum(mag.reshape(len(mag), -1, mag.shape[-1]).max(axis=1), 1e-300)
+        over = ~(log_peak <= _LOG_DBL_MAX) | (re + np.log(size) > _LOG_DBL_MAX).any(axis=0)
+        bad = int(np.argmax(over))
+        if over[bad]:
+            p1, p2 = v[bad].tolist()
+            raise OverflowError(f"theta sum at v = ({p1}, {p2}) is beyond double range: "
+                                f"its Gaussian peak is exp({log_peak[bad]:.6g})")
+    p = np.exp(log_p)
+    return out * (p[:, None] if grad_order else p)
 
 
 def theta_char(

@@ -7,21 +7,20 @@ parallelogram; along the fibre only the generator D e2 = (0, 4) survives,
 so solutions in v2 are reduced modulo 4.  Each grid line is solved by a
 damped complex Newton iteration seeded from the twelve simple two-torsion
 points of the curve and from the previous line's solutions.  All seeds of a
-line run in lockstep: each Newton step evaluates the rows still iterating
-in one batched call, and each round of the line search the rows still
-halving their step in another.  A batch is summed at the radius of its
-largest shift, so each row keeps its own certificate and ends as it would
-alone, up to rounding (which can still decide a zero whose |theta_A| sits
-at the rounding floor); a row's outcome is fixed when it converges, meets a
-flat gradient or fails its line search.  The emitted
-cloud is closed under v -> -v, realised as v -> Z e1 + D e1 - v, which maps
-the chart to itself.  That symmetry of the curve is exact, so a mirror point
-is accepted on its source's certificate.  The mirrors are still evaluated,
-in one batched call, to fill their value and gradient columns, and that
-call checks the mapping: the canonically weighted modulus w(v)|theta_A(v)|
-is invariant under the symmetry, so a mirror whose weighted value differs
-from its source's by more than the two truncation errors is recorded as a
-failure instead of being emitted.
+line run in lockstep: each Newton step tries the full step for the rows
+still iterating in one batched value-and-gradient call, and each round of
+the line search the rows still halving their step in a value-only call.
+A row ends as it would alone, up to rounding (which can still decide a
+zero whose |theta_A| sits at the rounding floor); its outcome is fixed
+when it converges, meets a flat gradient or fails its line search.  The
+emitted cloud is closed under v -> -v, realised as v -> Z e1 + D e1 - v,
+which maps the chart to itself.  That symmetry of the curve is exact, so a
+mirror point is accepted on its source's certificate.  The mirrors are
+still evaluated, in one batched call, to fill their value and gradient
+columns, and that call checks the mapping: the canonically weighted
+modulus w(v)|theta_A(v)| is invariant under the symmetry, so a mirror
+whose weighted value differs from its source's by more than the two
+truncation errors is recorded as a failure instead of being emitted.
 """
 
 from __future__ import annotations
@@ -77,40 +76,39 @@ def _line_points(v1: complex, v2s: np.ndarray) -> np.ndarray:
 def _newton_lines(Z, v1, seeds, settings, tol_abs, max_iter=50):
     """Damped Newton for theta_A(v1, .) = 0 from every seed at once.
 
-    Each Newton step tries the full step lambda = 1 for every row still
-    active in one batched value-and-gradient call; a row that takes it
-    carries that evaluation into its next step.  The rows still halving
-    lambda (down to 1/128) are evaluated value-only, one call per round,
-    and a row that takes a halved step is evaluated afresh, with the seeds,
-    at the start of its next step.  A row leaves when |theta| < tol_abs
-    (converged), when even its smallest trial step |theta / (d theta/dv2)|
-    / 128 moves v2 by more than the fibre period 4 (flat; unlike a floor on
-    |d theta/dv2|, rounding cannot decide this where the derivative
-    vanishes) or when its line search finds no decrease, and its outcome is
-    then fixed; a row still active after max_iter steps is judged by its
-    last value.  Returns (v2, |theta|, |d theta/dv2|, ok) as lists in seed
-    order, and the number of points evaluated.
+    Each step tries lambda = 1 for the active rows in one value-and-gradient
+    call, whose evaluation a row that takes it carries into its next step;
+    each halving round (lambda down to 1/128) is one value-only call, and a
+    row that takes a halved step is evaluated afresh.  A row leaves when
+    |theta| < tol_abs (converged), when its smallest trial step
+    |theta / (d theta/dv2)| / 128 passes the fibre period 4 (flat; unlike a
+    floor on |d theta/dv2|, this is not decided by rounding where the
+    derivative vanishes) or when its line search finds no decrease; a row
+    still active after max_iter steps is judged by its last value.  Returns
+    (v2, |theta|, |d theta/dv2|, ok) as lists in seed order, and the number
+    of points evaluated.
     """
     v2 = np.array(seeds, dtype=complex)
     n = len(v2)
     t, g2 = np.zeros(n, complex), np.zeros(n, complex)  # theta_A and d/dv2 at v2
     ok = np.zeros(n, dtype=bool)
-    active = fresh = np.arange(n)
+    stale = np.ones(n, dtype=bool)  # rows whose t, g2 are not yet at v2
+    active = np.arange(n)
     calls = 0
     for it in range(max_iter + 1):
+        fresh = active[stale[active]]
         if fresh.size:
             t[fresh], (_, g2[fresh]) = odd_theta_with_gradient(
                 _line_points(v1, v2[fresh]), Z, settings)
+            stale[fresh] = False
             calls += fresh.size
-        at, ag = np.abs(t[active]), np.abs(g2[active])
+        at = np.abs(t[active])
         ok[active] = at < tol_abs
         # flat: the smallest trial step |t / g2| / 128 passes the period 4
-        flat = at > 128 * 4.0 * ag
-        go = ~ok[active] & ~flat if it < max_iter else np.zeros(active.size, bool)
-        rows = active[go]
-        if not rows.size:
+        rows = active[~ok[active] & ~(at > 128 * 4.0 * np.abs(g2[active]))]
+        if it == max_iter or not rows.size:
             break
-        base, base_abs, step = v2[rows], at[go], t[rows] / g2[rows]
+        base, base_abs, step = v2[rows], np.abs(t[rows]), t[rows] / g2[rows]
         cand = base - step
         tc, (_, gc) = odd_theta_with_gradient(_line_points(v1, cand), Z, settings)
         calls += rows.size
@@ -119,20 +117,16 @@ def _newton_lines(Z, v1, seeds, settings, tol_abs, max_iter=50):
         v2[took], t[took], g2[took] = cand[better], tc[better], gc[better]
         # indices into rows of the searches still halving lambda
         search = np.flatnonzero(~better)
-        halved = []
-        lam = 0.5
-        for _ in range(7):
+        for lam in 0.5 ** np.arange(1, 8):
             if not search.size:
                 break
             cand = base[search] - lam * step[search]
             tc = odd_theta(_line_points(v1, cand), Z, settings)
             calls += search.size
             better = np.abs(tc) < base_abs[search]
-            halved.append(rows[search[better]])
-            v2[halved[-1]] = cand[better]
+            v2[rows[search[better]]] = cand[better]
+            stale[rows[search[better]]] = True
             search = search[~better]
-            lam *= 0.5
-        fresh = np.concatenate(halved) if halved else search[:0]
         active = np.delete(rows, search)
     return v2.tolist(), np.abs(t).tolist(), np.abs(g2).tolist(), ok.tolist(), calls
 

@@ -136,15 +136,17 @@ def test_newton_rows_do_not_depend_on_their_batch(Z0, settings, monkeypatch):
             assert abs(d - 4.0 * round(d.real / 4.0)) < 1e-9
 
 
-# perfbench/inputs.FAULTS runs these two draws as fixed failing answers and
-# expects these exception names
 def test_trace_draw_2_stays_in_range():
     # torsion seeds on half-period lines have d theta/dv2 = 0 exactly; they
-    # are flat, not Newton steps to a Gaussian-centre shift of 9e13
+    # are flat, not Newton steps to a Gaussian-centre shift of 9e13.
+    # perfbench/inputs.FAULTS still lists this draw as RadiusExceeded; it
+    # answers, and perfbench checks it like any other answer
     res = trace_curve(random_period_matrix(np.random.default_rng(2)), grid_size=4)
     assert res.points
 
 
+# perfbench/inputs.FAULTS runs this draw as a fixed failing answer and
+# expects this exception name
 @pytest.mark.xfail(raises=OverflowError, strict=True,
                    reason="a Newton step reaches a point whose theta sum overflows")
 def test_trace_draw_52_stays_finite():
