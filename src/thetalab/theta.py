@@ -151,8 +151,8 @@ def _evaluate(chars, v, Z: PeriodMatrix, settings: EvalSettings, radius, grad_or
     with w = v + c2, n0 = rint(-Y^{-1} Im v - c1) and w' = w + Z n0,
     theta(v) = P S(w') with P = exp(pi i n0 . (w + w')), where the kernel
     sums S over a box whose centre lies within 1/2 of the origin.  The
-    gradient is P (grad S + 2 pi i n0 S); its tail carries the factor
-    2 pi (k + 1 + |n0|), so it is certified at tol / (1 + max |n0|).
+    gradient is P (grad S + 2 pi i n0 S); a tail term at sup-norm j carries
+    the factor 2 pi (j + 1 + |n0|), so it is certified at tol / (1 + max |n0|).
     Raises OverflowError, naming the first offending point, when its peak,
     or P times a sum, is beyond double range.
     """
