@@ -384,6 +384,14 @@ def test_overflow_raises_instead_of_nan():
         odd_theta(np.array([(0.3, 0.1 + 0.2j), (0.3, 0.1 + 20j)]), Z)
     with pytest.raises(OverflowError):
         odd_theta_with_gradient((0.3, 0.1 + 20j), Z)
+    # here the peak, exp(706.2), and the value are in range but the gradient
+    # is not, so the factor times the sum is tested too, not the factor alone
+    Z = PeriodMatrix(0.1 + 1.2661574232704902j, 0.05 - 0.014045187764284678j,
+                     -0.2 + 1.5687787311336998j)
+    v = (-0.4603264289983997 + 15.021778086002671j, 0.7262404083786356 - 8.713035381285426j)
+    assert cmath.isfinite(odd_theta(v, Z))
+    with pytest.raises(OverflowError, match=r"exp\(706\.177\)"):
+        odd_theta_with_gradient(v, Z)
 
 
 def test_small_eigenvalue_needs_large_radius():
