@@ -7,11 +7,10 @@ a point v in C^2,
                                               + 2*pi*i (l+c1) . (v+c2) ).
 
 Every public evaluator goes through `_evaluate`, which centres each sum on
-its Gaussian peak (see there), so the truncation box [-R, R]^2 has the
-same radius for every point: the least R whose Gaussian majorant of the
-dropped tail, relative to the dominant term, is below the tolerance.  It
-depends only on (Z, tol, gradient order), and `truncation_radius` caches
-it; an explicit `radius=` is the half-width of each row's centred box.
+its Gaussian peak, so one box radius serves every point: the least R whose
+Gaussian majorant of the dropped tail, relative to the peak, is below tol.
+It depends only on (Z, tol, gradient order), and `truncation_radius`
+caches it; `radius=` is the half-width of each row's centred box.
 
 Each evaluator takes one point v = (v1, v2), returning Python complexes,
 or an (n, 2) array of points, one per row, returning arrays indexed by
@@ -142,49 +141,48 @@ def _characteristics(*chis: ThetaCharacteristic):
 _LOG_DBL_MAX = math.log(sys.float_info.max)
 
 
+def _check_range(v, log_peak, log_top):
+    """Raise OverflowError naming the first row of v with an entry of log_top,
+    (k, n) logs of moduli, beyond double range or not a number."""
+    if not log_top.max(initial=-np.inf) <= _LOG_DBL_MAX:
+        bad = np.argmax(~(log_top <= _LOG_DBL_MAX).all(axis=0))
+        raise OverflowError(f"theta sum at v = {tuple(v[bad].tolist())} is beyond double range: "
+                            f"its Gaussian peak is exp({log_peak[bad]:.6g})")
+
+
 def _evaluate(chars, v, Z: PeriodMatrix, settings: EvalSettings, radius, grad_order: int):
     """Kernel sums for each characteristic of chars (see `_characteristics`)
     at the rows of v: a (k, n) array of values, or for grad_order 1 a
     (k, 3, n) array of (value, d/dv1, d/dv2).
 
     Each row and characteristic [c1; c2] is centred on its Gaussian peak:
-    with w = v + c2, n0 = rint(-Y^{-1} Im v - c1) and w' = w + Z n0,
-    theta(v) = P S(w') with P = exp(pi i n0 . (w + w')), where the kernel
-    sums S over a box whose centre lies within 1/2 of the origin.  The
-    gradient is P (grad S + 2 pi i n0 S); a tail term at sup-norm j carries
-    the factor 2 pi (j + 1 + |n0|), so it is certified at tol / (1 + max |n0|).
-    Raises OverflowError, naming the first offending point, when its peak,
-    or P times a sum, is beyond double range.
+    with w = v + c2, mu = rint(-Y^{-1} Im v - c1) + c1 and w' = w + Z mu,
+    theta(v) = P S(w'), P = exp(pi i mu . (w + w')), S summed over a box
+    centred within 1/2 of its peak; the kernel gives S over that peak, so P
+    is exp(log peak + i arg P).  The gradient is P (grad S + 2 pi i mu S); a
+    tail term at sup-norm j carries 2 pi (j + 1 + |mu - c1|), so it is
+    certified at tol / (1 + max |mu - c1|).  Raises OverflowError for a row
+    whose peak, or the peak times a sum, is beyond double range or nan.
     """
     c1, c2 = chars
     u, log_peak = _gaussian_peak(Z, v)
+    _check_range(v, log_peak, log_peak[None])
     w = v if c2 is None else v + c2
-    n = np.rint(-u - c1)  # (k, n, 2)
-    wp = w + (n[..., None, :] * Z.as_matrix()).sum(axis=-1)
-    log_p = ((w + wp) * n).sum(axis=-1) * (1j * np.pi)
+    mu = np.rint(-u - c1) + c1  # (k, n, 2)
+    wp = w + (mu[..., None, :] * Z.as_matrix()).sum(axis=-1)
+    p = np.exp(log_peak + ((w + wp) * mu).sum(axis=-1).real * (1j * np.pi))
     if radius is None:
-        nbar = float(np.abs(n).max(initial=0.0)) if grad_order else 0.0
+        nbar = float(np.abs(mu - c1).max(initial=0.0)) if grad_order else 0.0
         radius = truncation_radius(Z.min_imag_eigenvalue(), 0.5, settings.tol / (1.0 + nbar),
                                    settings.max_radius, grad_order)
-    args = (c1[:, 0, 0], c1[:, 0, 1], Z.z11, Z.z12, Z.z22, wp[..., 0], wp[..., 1], radius)
     if grad_order:
-        s, g1, g2 = _KERNEL.theta_sum_grad(*args)
+        s, g1, g2 = _KERNEL.theta_sum_grad(Z.z11, Z.z12, Z.z22, wp, radius)
         twopi_i_s = s * (2j * np.pi)
-        out = np.stack((s, g1 + n[..., 0] * twopi_i_s, g2 + n[..., 1] * twopi_i_s), axis=1)
+        out = np.stack((s, g1 + mu[..., 0] * twopi_i_s, g2 + mu[..., 1] * twopi_i_s), axis=1)
     else:
-        out = _KERNEL.theta_sum(*args)
-    # |P| is at most the peak, but P times a sum can leave double range too
-    re, mag = log_p.real, np.abs(out)
-    top = re.max(initial=-np.inf) + math.log(mag.max(initial=1e-300))
-    if not log_peak.max(initial=0.0) <= _LOG_DBL_MAX or top > _LOG_DBL_MAX:
-        size = np.maximum(mag.reshape(len(mag), -1, mag.shape[-1]).max(axis=1), 1e-300)
-        over = ~(log_peak <= _LOG_DBL_MAX) | (re + np.log(size) > _LOG_DBL_MAX).any(axis=0)
-        bad = int(np.argmax(over))
-        if over[bad]:
-            p1, p2 = v[bad].tolist()
-            raise OverflowError(f"theta sum at v = ({p1}, {p2}) is beyond double range: "
-                                f"its Gaussian peak is exp({log_peak[bad]:.6g})")
-    p = np.exp(log_p)
+        out = _KERNEL.theta_sum(Z.z11, Z.z12, Z.z22, wp, radius)
+    size = np.abs(out).max(axis=1) if grad_order else np.abs(out)
+    _check_range(v, log_peak, np.log(np.maximum(size, 1e-300)) + log_peak)
     return out * (p[:, None] if grad_order else p)
 
 

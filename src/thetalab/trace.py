@@ -77,16 +77,14 @@ def _newton_lines(Z, v1, seeds, settings, tol_abs, max_iter=50):
     """Damped Newton for theta_A(v1, .) = 0 from every seed at once.
 
     Each step tries lambda = 1 for the active rows in one value-and-gradient
-    call, whose evaluation a row that takes it carries into its next step;
-    each halving round (lambda down to 1/128) is one value-only call, and a
-    row that takes a halved step is evaluated afresh.  A row leaves when
-    |theta| < tol_abs (converged), when its smallest trial step
-    |theta / (d theta/dv2)| / 128 passes the fibre period 4 (flat; unlike a
-    floor on |d theta/dv2|, this is not decided by rounding where the
-    derivative vanishes) or when its line search finds no decrease; a row
-    still active after max_iter steps is judged by its last value.  Returns
-    (v2, |theta|, |d theta/dv2|, ok) as lists in seed order, and the number
-    of points evaluated.
+    call, which a row that takes it carries into its next step; each halving
+    round (down to 1/128) is one value-only call.  A row leaves when |theta|
+    < tol_abs (converged), when its smallest trial step |theta / (d theta/
+    dv2)| / 128 passes the fibre period 4 (flat; rounding cannot decide this
+    where the derivative vanishes, as it decides a floor on |d theta/dv2|)
+    or when its line search finds no decrease; a row still active after
+    max_iter steps is judged by its last value.  Returns (v2, |theta|,
+    |d theta/dv2|, ok) as lists in seed order, and the points evaluated.
     """
     v2 = np.array(seeds, dtype=complex)
     n = len(v2)

@@ -121,6 +121,43 @@ def test_large_peak_against_direct_sum(settings):
     assert abs(odd_theta_with_gradient(v, Z, settings)[0] - want) <= settings.tol * peak
 
 
+def _reference_odd_gradient(v, Z, radius=12):
+    """d/dv1 and d/dv2 of the odd section by plain double sums."""
+    grad = [0j, 0j]
+    for sign, a2 in ((1, 0.75), (-1, 0.25)):
+        for m1 in range(-radius, radius + 1):
+            for l2 in range(-radius, radius + 1):
+                m2 = l2 + a2
+                quad = m1 * m1 * Z.z11 + 2 * m1 * m2 * Z.z12 + m2 * m2 * Z.z22
+                term = cmath.exp(1j * cmath.pi * quad + 2j * cmath.pi * (m1 * v[0] + m2 * v[1]))
+                grad[0] += sign * 2j * cmath.pi * m1 * term
+                grad[1] += sign * 2j * cmath.pi * m2 * term
+    return grad
+
+
+@pytest.mark.parametrize(
+    "Z",
+    [
+        PeriodMatrix.diagonal(0.1 + 1.1j, 0.2 + 31j),
+        PeriodMatrix.diagonal(0.1 + 1.1j, 0.2 + 70j),
+        PeriodMatrix(0.1 + 20j, 0.2 + 18j, -0.3 + 20j),
+    ],
+    ids=["im_z22_31", "im_z22_70", "correlated"],
+)
+def test_large_or_correlated_imaginary_part_against_direct_sum(Z, settings):
+    # one large entry of Im Z, or a strongly correlated Im Z: a factor
+    # exp(2 pi i k w) of a term alone leaves double range there while the
+    # term itself underflows, so each factor carries a Gaussian of its own
+    for v in [(0.0, 0.0), (0.3 + 0.2j, -0.4 + 1.5j), (0.7 - 0.6j, 0.2 - 2.5j)]:
+        peak = _envelope_peak(Z, v)
+        want = reference_theta(quarter_characteristic(3), v, Z) - reference_theta(OMEGA, v, Z)
+        assert abs(odd_theta(v, Z, settings) - want) <= settings.tol * peak
+        t, grad = odd_theta_with_gradient(v, Z, settings)
+        assert abs(t - want) <= settings.tol * peak
+        for g, ref in zip(grad, _reference_odd_gradient(v, Z)):
+            assert abs(g - ref) <= 100 * settings.tol * peak
+
+
 def test_frozen_regression_value(Z0):
     got = odd_theta((0.31 + 0.12j, -0.2 + 0.45j), Z0)
     want = 0.4779926363854756 + 0.029452518355850443j
@@ -384,6 +421,13 @@ def test_overflow_raises_instead_of_nan():
         odd_theta(np.array([(0.3, 0.1 + 0.2j), (0.3, 0.1 + 20j)]), Z)
     with pytest.raises(OverflowError):
         odd_theta_with_gradient((0.3, 0.1 + 20j), Z)
+    # far beyond range, Im v + Y n0 loses every digit; the peak is tested
+    # before any factor is formed, so no overflow warning comes first
+    for v in [(0.3, 0.1 + 1e20j), (0.3 - 1e100j, 0.1)]:
+        with pytest.raises(OverflowError):
+            odd_theta(v, Z)
+        with pytest.raises(OverflowError):
+            odd_theta_with_gradient(v, Z)
     # here the peak, exp(706.2), and the value are in range but the gradient
     # is not, so the factor times the sum is tested too, not the factor alone
     Z = PeriodMatrix(0.1 + 1.2661574232704902j, 0.05 - 0.014045187764284678j,

@@ -78,9 +78,9 @@ def test_trace_closed_under_negation(Z0, settings):
 
 
 def test_trace_closure_keeps_mirrors_of_tiny_values():
-    # draw 1 has a solution whose mirror evaluates to |theta_A| ~ 1.5e-12,
+    # draw 3 has a solution whose mirror evaluates to |theta_A| ~ 5e-12,
     # above the default tol; the mirror is kept on its source's certificate
-    Z = random_period_matrix(np.random.default_rng(1))
+    Z = random_period_matrix(np.random.default_rng(3))
     res = trace_curve(Z, grid_size=4)
     _assert_closed_under_negation(res, Z)
     assert max(p.abs_theta for p in res.points) > 1e-12
