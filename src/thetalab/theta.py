@@ -19,7 +19,9 @@ the only point format below the public functions, and raises OutOfRange
 for any other shape and for a coordinate that is not finite.  A row of a
 batch is its single call bit for bit, except that the default gradient
 radius is the batch's.  A point whose Gaussian peak exp(pi y^T Y^-1 y),
-y = Im v, is beyond double range raises OverflowError, not nan.
+y = Im v, or one of whose sums is beyond a quarter of double range raises
+OverflowError, not nan, so the odd section's difference of two sums is
+always finite.
 """
 
 from __future__ import annotations
@@ -125,8 +127,8 @@ def _gaussian_peak(Z: PeriodMatrix, v: np.ndarray):
     largest term any theta sum can have there, pi (Im v) . u."""
     y = v.imag
     a, b, c = Z.z11.imag, Z.z12.imag, Z.z22.imag
-    inv = np.array([[c, -b], [-b, a]]) / (a * c - b * b)
-    u = y[:, :1] * inv[0] + y[:, 1:] * inv[1]
+    det = a * c - b * b
+    u = y[:, :1] * np.array([c / det, -b / det]) + y[:, 1:] * np.array([-b / det, a / det])
     return u, np.pi * (y * u).sum(axis=1)
 
 
@@ -138,16 +140,33 @@ def _characteristics(*chis: ThetaCharacteristic):
     return c1, (c2 if c2.any() else None)
 
 
-_LOG_DBL_MAX = math.log(sys.float_info.max)
+# the largest log modulus a sum may have: a quarter of double range, so that
+# the odd section's difference of two sums, rounded, stays finite too
+_LOG_MAX = math.log(sys.float_info.max / 4)
 
 
 def _check_range(v, log_peak, log_top):
     """Raise OverflowError naming the first row of v with an entry of log_top,
-    (k, n) logs of moduli, beyond double range or not a number."""
-    if not log_top.max(initial=-np.inf) <= _LOG_DBL_MAX:
-        bad = np.argmax(~(log_top <= _LOG_DBL_MAX).all(axis=0))
+    (k, n) logs of moduli, beyond range or not a number."""
+    if not log_top.max(initial=-np.inf) <= _LOG_MAX:
+        bad = np.argmax(~(log_top <= _LOG_MAX).all(axis=0))
         raise OverflowError(f"theta sum at v = {tuple(v[bad].tolist())} is beyond double range: "
-                            f"its Gaussian peak is exp({log_peak[bad]:.6g})")
+                            f"its modulus reaches exp({log_top[:, bad].max():.6g}) "
+                            f"(Gaussian peak exp({log_peak[bad]:.6g})), "
+                            f"above exp({_LOG_MAX:.6g})")
+
+
+def _check_imag_range(v, Z: PeriodMatrix):
+    """Raise OverflowError naming the first row of v whose Im v alone puts its
+    Gaussian peak beyond range: the peak's log pi y^T Y^-1 y is at least
+    pi |y|^2 / tr Y, and this is tested before y is squared, which
+    overflows for |y| above about 1e154."""
+    bound = math.sqrt(_LOG_MAX * (Z.z11.imag + Z.z22.imag) / math.pi)
+    y = np.abs(v.imag)
+    if not y.max(initial=0.0) <= bound:
+        bad = np.argmax((y > bound).any(axis=1))
+        raise OverflowError(f"theta sum at v = {tuple(v[bad].tolist())} is beyond double range: "
+                            f"its Gaussian peak exceeds exp({_LOG_MAX:.6g})")
 
 
 def _evaluate(chars, v, Z: PeriodMatrix, settings: EvalSettings, radius, grad_order: int):
@@ -162,11 +181,15 @@ def _evaluate(chars, v, Z: PeriodMatrix, settings: EvalSettings, radius, grad_or
     is exp(log peak + i arg P).  The gradient is P (grad S + 2 pi i mu S); a
     tail term at sup-norm j carries 2 pi (j + 1 + |mu - c1|), so it is
     certified at tol / (1 + max |mu - c1|).  Raises OverflowError for a row
-    whose peak, or the peak times a sum, is beyond double range or nan.
+    whose peak, or the peak times a sum, is beyond a quarter of double range
+    (see `_LOG_MAX`) or nan.
     """
     c1, c2 = chars
+    _check_imag_range(v, Z)
     u, log_peak = _gaussian_peak(Z, v)
-    _check_range(v, log_peak, log_peak[None])
+    peak = log_peak.max(initial=-np.inf)
+    if not peak <= _LOG_MAX:
+        _check_range(v, log_peak, log_peak[None])
     w = v if c2 is None else v + c2
     mu = np.rint(-u - c1) + c1  # (k, n, 2)
     wp = w + (mu[..., None, :] * Z.as_matrix()).sum(axis=-1)
@@ -182,7 +205,10 @@ def _evaluate(chars, v, Z: PeriodMatrix, settings: EvalSettings, radius, grad_or
     else:
         out = _KERNEL.theta_sum(Z.z11, Z.z12, Z.z22, wp, radius)
     size = np.abs(out).max(axis=1) if grad_order else np.abs(out)
-    _check_range(v, log_peak, np.log(np.maximum(size, 1e-300)) + log_peak)
+    # the largest sum times the largest peak bounds every row; the rows are
+    # tested one by one only when that bound is out of range or a sum is nan
+    if not size.max(initial=0.0) <= math.exp(_LOG_MAX - peak):
+        _check_range(v, log_peak, np.log(np.maximum(size, 1e-300)) + log_peak)
     return out * (p[:, None] if grad_order else p)
 
 

@@ -438,6 +438,31 @@ def test_overflow_raises_instead_of_nan():
         odd_theta_with_gradient(v, Z)
 
 
+def test_huge_imaginary_part_raises_before_squaring(Z0):
+    # (Im v)^2 overflows above 1e154; the range of Im v is tested first, so
+    # under the suite's warnings-as-errors filter this is OverflowError, not
+    # numpy's RuntimeWarning
+    for f in (odd_theta, odd_theta_with_gradient, theta_basis):
+        with pytest.raises(OverflowError, match=r"1e\+160j"):
+            f((0.3, 0.1 + 1e160j), Z0)
+
+
+def test_odd_difference_stays_finite_or_raises():
+    # theta[3w] and theta[w] are each finite near 1e308 at these points, but
+    # at the first their difference is not (the value's, at the second the
+    # gradient's): each raises OverflowError naming its point
+    Z = PeriodMatrix(0.1 + 0.41808j, 0.05 + 0.024929j, -0.2 + 2.70946j)
+    v = (-0.33234 - 9.33907j, -0.86024 + 6.28921j)
+    with pytest.raises(OverflowError, match=r"\(-0\.33234-9\.33907j\)"):
+        odd_theta(v, Z)
+    with pytest.raises(OverflowError, match=r"\(-0\.33234-9\.33907j\)"):
+        odd_theta_with_gradient(v, Z)
+    v = (-0.37751 - 9.30190j, -0.86494 + 6.33530j)
+    assert cmath.isfinite(odd_theta(v, Z))
+    with pytest.raises(OverflowError, match=r"\(-0\.37751-9\.3019j\)"):
+        odd_theta_with_gradient(v, Z)
+
+
 def test_small_eigenvalue_needs_large_radius():
     Z = PeriodMatrix(0.05j, 0.0, 0.05j)
     with pytest.raises(RadiusExceeded):

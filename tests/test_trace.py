@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 import thetalab.trace as trace
-from thetalab import PeriodMatrix, odd_theta, random_period_matrix, trace_curve
+from thetalab import EvalSettings, PeriodMatrix, odd_theta, random_period_matrix, trace_curve
+from thetalab.surface import canonical_weight
 from thetalab.trace import _reduce_mod4
 
 
@@ -77,13 +78,29 @@ def test_trace_closed_under_negation(Z0, settings):
     _assert_closed_under_negation(trace_curve(Z0, settings, grid_size=4), Z0)
 
 
-def test_trace_closure_keeps_mirrors_of_tiny_values():
-    # draw 3 has a solution whose mirror evaluates to |theta_A| ~ 5e-12,
-    # above the default tol; the mirror is kept on its source's certificate
-    Z = random_period_matrix(np.random.default_rng(3))
-    res = trace_curve(Z, grid_size=4)
-    _assert_closed_under_negation(res, Z)
-    assert max(p.abs_theta for p in res.points) > 1e-12
+def test_trace_closure_keeps_mirrors_of_tiny_values(Z0, settings):
+    # a source just off a zero on line (1, 0), whose mirror on line (3, 0)
+    # sits at a 4.8 times smaller canonical weight: the weighted values
+    # agree, so the mirror is kept on its source's certificate although its
+    # own |theta_A| is above tol
+    v1 = Z0.z11 / 4
+    [(_, ((zero,), _, _, (ok,)), _)], _ = trace._newton_pool(
+        Z0, [v1], [0.1 - 0.5j], settings, settings.tol)
+    assert ok
+    v2 = _reduce_mod4(zero + 1e-9)
+    source_abs = abs(odd_theta((v1, v2), Z0, settings))
+    tol = 2 * source_abs
+    source = trace.TracePoint((1, 0), v1, v2, source_abs, 1.0)
+    kept, dropped = trace._mirrors(Z0, 4, [source], EvalSettings(tol=tol))
+    assert dropped == []
+    (mirror,) = kept
+    assert mirror.line == (3, 0)
+    assert mirror.v1 == pytest.approx(0.75 * Z0.z11)
+    assert mirror.v2 == pytest.approx(_reduce_mod4(Z0.z12 - v2))
+    ratio = canonical_weight(Z0, (v1, v2)) / canonical_weight(Z0, (mirror.v1, mirror.v2))
+    assert ratio > 4
+    assert source_abs < tol < mirror.abs_theta
+    assert mirror.abs_theta == pytest.approx(ratio * source_abs, rel=1e-3)
 
 
 def test_trace_drops_mirrors_that_disagree_with_their_source(Z0, settings, monkeypatch):
@@ -115,25 +132,50 @@ def test_trace_drops_mirrors_that_disagree_with_their_source(Z0, settings, monke
 
 
 def test_newton_rows_do_not_depend_on_their_batch(Z0, settings, monkeypatch):
-    # each seed of a line's lockstep batch ends as it does alone
-    real = trace._newton_lines
-    lines = []
+    # every row of the pool, rows of different lines that share a call
+    # included, ends as it does alone
+    real = trace._newton_pool
+    pools = []
 
-    def recording(Z, v1, seeds, s, tol_abs):
-        out = real(Z, v1, seeds, s, tol_abs)
-        lines.append((v1, seeds, out))
+    def recording(Z, v1s, seeds, s, tol_abs):
+        out = real(Z, v1s, seeds, s, tol_abs)
+        pools.append((v1s, out))
         return out
 
-    monkeypatch.setattr(trace, "_newton_lines", recording)
+    monkeypatch.setattr(trace, "_newton_pool", recording)
     trace_curve(Z0, settings, grid_size=4)
+    [(v1s, (lines, _))] = pools
     assert len(lines) == 16
-    for v1, seeds, (sols, _, _, oks, _) in lines:
-        assert len(seeds) > 1
-        for seed, sol, ok in zip(seeds, sols, oks):
-            (alone,), _, _, (alone_ok,), _ = real(Z0, v1, [seed], settings, settings.tol)
+    for v1, (starts, (sols, _, _, oks), _) in zip(v1s, lines):
+        assert len(starts) > 1
+        for seed, sol, ok in zip(starts, sols, oks):
+            [(_, ((alone,), _, _, (alone_ok,)), _)], _ = real(Z0, [v1], [seed], settings, settings.tol)
             assert alone_ok == ok
             d = alone - sol
             assert abs(d - 4.0 * round(d.real / 4.0)) < 1e-9
+
+
+def test_newton_pool_equals_one_line_at_a_time(Z0, settings, monkeypatch):
+    real = trace._newton_pool
+
+    def line_by_line(Z, v1s, seeds, s, tol_abs):
+        lines, calls, prev = [], 0, []
+        for v1 in v1s:
+            [line], c = real(Z, [v1], prev + list(seeds), s, tol_abs)
+            lines.append(line)
+            calls += c
+            prev = [sol for sol, _, _ in line[2]]
+        return lines, calls
+
+    pooled = trace_curve(Z0, settings, grid_size=4)
+    monkeypatch.setattr(trace, "_newton_pool", line_by_line)
+    alone = trace_curve(Z0, settings, grid_size=4)
+    assert pooled.failures == alone.failures
+    assert len(pooled.points) == len(alone.points)
+    for p, q in zip(pooled.points, alone.points):
+        assert p.line == q.line and p.v1 == q.v1
+        d = p.v2 - q.v2
+        assert abs(d - 4.0 * round(d.real / 4.0)) < 1e-9
 
 
 def test_trace_draw_2_stays_in_range():
