@@ -17,6 +17,7 @@ from hypothesis import given, settings as hsettings
 from hypothesis import strategies as st
 from mpmath import jtheta, mp, mpc
 
+import thetalab._kernel_py as _kernel_py
 from thetalab import (
     EvalSettings,
     NotSiegel,
@@ -265,6 +266,21 @@ def test_large_array_matches_single_points(Z0, rng):
     for i, v in enumerate(V):
         p = (complex(v[0]), complex(v[1]))
         assert (t[i], (g1[i], g2[i])) == odd_theta_with_gradient(p, Z0)
+        assert list(basis[i]) == theta_basis(p, Z0)
+
+
+def test_blocked_batch_matches_single_points(Z0, rng, monkeypatch):
+    # a batch larger than the kernel's block is summed block by block, the
+    # last block partial; its rows are still their single calls bit for bit
+    monkeypatch.setattr(_kernel_py, "_BLOCK_ENTRIES", 1000)
+    V = rng.uniform(-2.0, 2.0, size=(50, 2)) + 1j * np.array([0.3, -0.2])
+    t, (g1, g2) = odd_theta_with_gradient(V, Z0)
+    value = odd_theta(V, Z0)
+    basis = theta_basis(V, Z0)
+    for i, v in enumerate(V):
+        p = (complex(v[0]), complex(v[1]))
+        assert (t[i], (g1[i], g2[i])) == odd_theta_with_gradient(p, Z0)
+        assert value[i] == odd_theta(p, Z0)
         assert list(basis[i]) == theta_basis(p, Z0)
 
 

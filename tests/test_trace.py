@@ -156,6 +156,8 @@ def test_newton_rows_do_not_depend_on_their_batch(Z0, settings, monkeypatch):
 
 
 def test_newton_pool_equals_one_line_at_a_time(Z0, settings, monkeypatch):
+    # the pool emits the cloud and failures of solving one line at a time,
+    # each from the previous line's solutions and then the torsion seeds
     real = trace._newton_pool
 
     def line_by_line(Z, v1s, seeds, s, tol_abs):
