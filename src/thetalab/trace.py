@@ -7,26 +7,22 @@ parallelogram; along the fibre only the generator D e2 = (0, 4) survives,
 so solutions in v2 are reduced modulo 4.  Each grid line is solved by a
 damped complex Newton iteration seeded from the previous line's solutions
 and from the twelve simple two-torsion points of the curve.  The rows of
-every line share one pool: the torsion-seeded rows of all N^2 lines start
-together, and a line's rows seeded from the previous line join once every
-row of that line has finished.  Each round of the pool makes at most three
-batched calls, whatever the number of lines: value and gradient at the
-rows whose values are stale, value and gradient at every full step, and the
-values at all seven halvings of every failed full step.  A row carries its
-own v1 and step count, so it ends as it would alone, up to rounding (the
-gradient radius follows the batch, and rounding can still decide a zero
-whose |theta_A| sits at the rounding floor); its outcome is fixed when it
-converges, meets a flat gradient or fails its line search.  Lines are
-finished in order and deduplicated in seed order, the previous line's
-solutions first.  The emitted cloud is closed under v -> -v, realised as
-v -> Z e1 + D e1 - v, which maps the chart to itself.  That symmetry of
-the curve is exact, so a mirror point is accepted on its source's
-certificate.  The mirrors are still evaluated, in one batched call, to
-fill their value and gradient columns, and that call checks the mapping:
-the canonically weighted modulus w(v)|theta_A(v)| is invariant under the
-symmetry, so a mirror whose weighted value differs from its source's by
-more than the two truncation errors is recorded as a failure instead of
-being emitted.
+all N^2 lines share one pool (`_newton_pool`), which makes at most three
+batched evaluator calls per round, whatever the number of lines.  A row
+carries its own v1 and step count, so it ends as it would alone, up to
+rounding (the gradient radius follows the batch, and rounding can still
+decide a zero whose |theta_A| sits at the rounding floor); its outcome is
+fixed when it converges, meets a flat gradient or fails its line search.
+Lines are finished in order and deduplicated in seed order, the previous
+line's solutions first.  The emitted cloud is closed under v -> -v,
+realised as v -> Z e1 + D e1 - v, which maps the chart to itself.  That
+symmetry of the curve is exact, so a mirror point is accepted on its
+source's certificate.  The mirrors are still evaluated, in one batched
+call, to fill their value and gradient columns, and that call checks the
+mapping: the canonically weighted modulus w(v)|theta_A(v)| is invariant
+under the symmetry, so a mirror whose weighted value differs from its
+source's by more than the two truncation errors is recorded as a failure
+instead of being emitted.
 """
 
 from __future__ import annotations
@@ -75,7 +71,7 @@ def _reduce_mod4(v2: complex) -> complex:
     return complex(0.0, r.imag) if r.real >= 4.0 else r
 
 
-def _newton_pool(Z, v1s, seeds, settings, tol_abs, max_iter=50):
+def _newton_pool(Z, v1s, seeds, settings, max_iter=50):
     """Damped Newton for theta_A(v1, .) = 0 on every line v1 of v1s at once.
 
     Line L is started from the previous line's solutions, then from seeds;
@@ -86,7 +82,7 @@ def _newton_pool(Z, v1s, seeds, settings, tol_abs, max_iter=50):
     that takes one carries into its next step), and the values at all
     seven halvings lambda = 1/2 .. 1/128 of every failed full step, of
     which a row takes the largest that decreases |theta|.  A row leaves
-    when |theta| < tol_abs (converged), when its smallest trial step
+    when |theta| < settings.tol (converged), when its smallest trial step
     |theta / (d theta/dv2)| / 128 passes the fibre period 4 (flat; rounding
     cannot decide this where the derivative vanishes, as it decides a floor
     on |d theta/dv2|) or when its line search finds no decrease; a row
@@ -133,7 +129,7 @@ def _newton_pool(Z, v1s, seeds, settings, tol_abs, max_iter=50):
             stale[fresh] = False
             calls += fresh.size
         at = np.abs(t[active])
-        ok[active] = at < tol_abs
+        ok[active] = at < settings.tol
         # flat: the smallest trial step |t / g2| / 128 passes the period 4
         going = ~ok[active] & ~(at > 128 * 4.0 * np.abs(g2[active])) & (steps[active] < max_iter)
         done[active[~going]] = True
@@ -262,7 +258,7 @@ def trace_curve(
 
     grid = [(i, j) for i in range(N) for j in range(N)]
     v1s = [(i / N) * Z.z11 + (j / N) for i, j in grid]
-    lines, calls = _newton_pool(Z, v1s, seed_v2, settings, tol_abs)
+    lines, calls = _newton_pool(Z, v1s, seed_v2, settings)
     failures: list[TraceFailure] = []
     for line, v1, (starts, _, found) in zip(grid, v1s, lines):
         points.extend(TracePoint(line, v1, sol, a, g) for sol, a, g in found)

@@ -84,8 +84,7 @@ def test_trace_closure_keeps_mirrors_of_tiny_values(Z0, settings):
     # agree, so the mirror is kept on its source's certificate although its
     # own |theta_A| is above tol
     v1 = Z0.z11 / 4
-    [(_, ((zero,), _, _, (ok,)), _)], _ = trace._newton_pool(
-        Z0, [v1], [0.1 - 0.5j], settings, settings.tol)
+    [(_, ((zero,), _, _, (ok,)), _)], _ = trace._newton_pool(Z0, [v1], [0.1 - 0.5j], settings)
     assert ok
     v2 = _reduce_mod4(zero + 1e-9)
     source_abs = abs(odd_theta((v1, v2), Z0, settings))
@@ -137,8 +136,8 @@ def test_newton_rows_do_not_depend_on_their_batch(Z0, settings, monkeypatch):
     real = trace._newton_pool
     pools = []
 
-    def recording(Z, v1s, seeds, s, tol_abs):
-        out = real(Z, v1s, seeds, s, tol_abs)
+    def recording(Z, v1s, seeds, s):
+        out = real(Z, v1s, seeds, s)
         pools.append((v1s, out))
         return out
 
@@ -149,7 +148,7 @@ def test_newton_rows_do_not_depend_on_their_batch(Z0, settings, monkeypatch):
     for v1, (starts, (sols, _, _, oks), _) in zip(v1s, lines):
         assert len(starts) > 1
         for seed, sol, ok in zip(starts, sols, oks):
-            [(_, ((alone,), _, _, (alone_ok,)), _)], _ = real(Z0, [v1], [seed], settings, settings.tol)
+            [(_, ((alone,), _, _, (alone_ok,)), _)], _ = real(Z0, [v1], [seed], settings)
             assert alone_ok == ok
             d = alone - sol
             assert abs(d - 4.0 * round(d.real / 4.0)) < 1e-9
@@ -160,10 +159,10 @@ def test_newton_pool_equals_one_line_at_a_time(Z0, settings, monkeypatch):
     # each from the previous line's solutions and then the torsion seeds
     real = trace._newton_pool
 
-    def line_by_line(Z, v1s, seeds, s, tol_abs):
+    def line_by_line(Z, v1s, seeds, s):
         lines, calls, prev = [], 0, []
         for v1 in v1s:
-            [line], c = real(Z, [v1], prev + list(seeds), s, tol_abs)
+            [line], c = real(Z, [v1], prev + list(seeds), s)
             lines.append(line)
             calls += c
             prev = [sol for sol, _, _ in line[2]]
