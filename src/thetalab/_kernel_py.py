@@ -14,11 +14,9 @@ over the sum's.  G is 0 for diagonal Y, below 300 on 2,000 draws of
 G = 1,300.  K, and every other factor that depends on Z and R alone, is
 built once per (Z, R) and kept in a small cache (`_z_factors`): a caller
 that evaluates one Z at many points, such as the tracer, builds it once,
-and a fresh Z costs what building it inline would.  A batch is summed in
-blocks of points that keep K F2 to 2^18 entries, so the kernel's largest
-arrays stay within a few MB whatever the batch size.  Products are elementwise and sums
-run over the last axis, so a row of a batch is computed exactly as alone,
-in whichever block; each product keeps its temporary operand first
+and a fresh Z costs what building it inline would.  Products are
+elementwise and sums run over the last axis, so a row of a batch is
+computed exactly as alone; each product keeps its temporary operand first
 (numpy reuses a large temporary in place, and operand order decides the
 rounding of a fused complex multiply).
 """
@@ -31,7 +29,8 @@ import numpy as np
 @functools.lru_cache(maxsize=8)
 def _z_factors(z11, z12, z22, radius):
     """What the terms share across points, built once per (Z, radius): ks and
-    2 pi i ks, K, the rows of M, a and pi a.  Callers only read them."""
+    2 pi i ks, K, the rows of M, a and pi a, read-only since every later call
+    with that (Z, radius) shares them."""
     ks = np.arange(-radius, radius + 1, dtype=float)
     y11, y12, y22 = z11.imag, z12.imag, z22.imag
     t = 1.0 - abs(y12) / (y11 * y22) ** 0.5
@@ -42,8 +41,11 @@ def _z_factors(z11, z12, z22, radius):
     h = np.pi / 2
     m0 = np.array([(1 / a1 - y22 / det) * h, y12 / det * h])
     m1 = np.array([y12 / det * h, (1 / a2 - y11 / det) * h])
-    return (ks, ks * (2j * np.pi), k, m0, m1, np.array([a1, a2]),
-            np.array([[np.pi * a1], [np.pi * a2]]))
+    shared = (ks, ks * (2j * np.pi), k, m0, m1, np.array([a1, a2]),
+              np.array([[np.pi * a1], [np.pi * a2]]))
+    for x in shared:
+        x.setflags(write=False)
+    return shared
 
 
 def _factors(z11, z12, z22, w, radius):
@@ -57,31 +59,11 @@ def _factors(z11, z12, z22, w, radius):
     return ks, f[..., 0, :], k * f[..., 1, None, :]
 
 
-# K F2, the largest array, holds k n (2R+1)^2 complex entries: 4 MB at most
-_BLOCK_ENTRIES = 1 << 18
-
-
-def _in_blocks(kernel):
-    """kernel applied to blocks of the points (axis 1 of w), its arrays joined."""
-    @functools.wraps(kernel)
-    def blocked(z11, z12, z22, w, radius):
-        n = max(1, _BLOCK_ENTRIES // (w.shape[0] * (2 * radius + 1) ** 2))
-        if w.shape[1] <= n:
-            return kernel(z11, z12, z22, w, radius)
-        parts = [kernel(z11, z12, z22, w[:, i:i + n], radius) for i in range(0, w.shape[1], n)]
-        if isinstance(parts[0], tuple):
-            return tuple(np.concatenate(x, axis=-1) for x in zip(*parts))
-        return np.concatenate(parts, axis=-1)
-    return blocked
-
-
-@_in_blocks
 def theta_sum(z11, z12, z22, w, radius):
     _, f1, kf2 = _factors(z11, z12, z22, w, radius)
     return (kf2.sum(axis=-1) * f1).sum(axis=-1)
 
 
-@_in_blocks
 def theta_sum_grad(z11, z12, z22, w, radius):
     ks, f1, kf2 = _factors(z11, z12, z22, w, radius)
     terms1 = kf2.sum(axis=-1) * f1

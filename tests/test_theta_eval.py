@@ -17,7 +17,6 @@ from hypothesis import given, settings as hsettings
 from hypothesis import strategies as st
 from mpmath import jtheta, mp, mpc
 
-import thetalab._kernel_py as _kernel_py
 from thetalab import (
     EvalSettings,
     NotSiegel,
@@ -269,21 +268,6 @@ def test_large_array_matches_single_points(Z0, rng):
         assert list(basis[i]) == theta_basis(p, Z0)
 
 
-def test_blocked_batch_matches_single_points(Z0, rng, monkeypatch):
-    # a batch larger than the kernel's block is summed block by block, the
-    # last block partial; its rows are still their single calls bit for bit
-    monkeypatch.setattr(_kernel_py, "_BLOCK_ENTRIES", 1000)
-    V = rng.uniform(-2.0, 2.0, size=(50, 2)) + 1j * np.array([0.3, -0.2])
-    t, (g1, g2) = odd_theta_with_gradient(V, Z0)
-    value = odd_theta(V, Z0)
-    basis = theta_basis(V, Z0)
-    for i, v in enumerate(V):
-        p = (complex(v[0]), complex(v[1]))
-        assert (t[i], (g1[i], g2[i])) == odd_theta_with_gradient(p, Z0)
-        assert value[i] == odd_theta(p, Z0)
-        assert list(basis[i]) == theta_basis(p, Z0)
-
-
 def test_array_shapes(Z0):
     V = np.array([(0.1 + 0.2j, 0.3), (0.4, -0.5 + 0.1j)])
     assert odd_theta(V, Z0).shape == (2,)
@@ -465,8 +449,9 @@ def test_huge_imaginary_part_raises_before_squaring(Z0):
 
 def test_odd_difference_stays_finite_or_raises():
     # theta[3w] and theta[w] are each finite near 1e308 at these points, but
-    # at the first their difference is not (the value's, at the second the
-    # gradient's): each raises OverflowError naming its point
+    # their difference is not: the values' at the first point (whose gradient
+    # sums are beyond range themselves), the gradient's at the second; each
+    # raises OverflowError naming its point
     Z = PeriodMatrix(0.1 + 0.41808j, 0.05 + 0.024929j, -0.2 + 2.70946j)
     v = (-0.33234 - 9.33907j, -0.86024 + 6.28921j)
     with pytest.raises(OverflowError, match=r"\(-0\.33234-9\.33907j\)"):
