@@ -19,9 +19,9 @@ the only point format below the public functions, and raises OutOfRange
 for any other shape and for a coordinate that is not finite.  A row of a
 batch is its single call bit for bit, except that the default gradient
 radius is the batch's.  A point whose Gaussian peak exp(pi y^T Y^-1 y),
-y = Im v, or one of whose sums is beyond a quarter of double range raises
-OverflowError, not nan, so the odd section's difference of two sums is
-always finite.
+y = Im v, or one of whose sums is beyond double range raises
+OverflowError, not nan; so does a point where the odd section's
+difference of two sums is.
 """
 
 from __future__ import annotations
@@ -140,20 +140,19 @@ def _characteristics(*chis: ThetaCharacteristic):
     return c1, (c2 if c2.any() else None)
 
 
-# the largest log modulus a sum may have: a quarter of double range, so that
-# the odd section's difference of two sums, rounded, stays finite too
-_LOG_MAX = math.log(sys.float_info.max / 4)
+_LOG_DBL_MAX = math.log(sys.float_info.max)
 
 
 def _check_range(v, log_peak, log_top):
     """Raise OverflowError naming the first row of v with an entry of log_top,
-    (k, n) logs of moduli, beyond range or not a number."""
-    if not log_top.max(initial=-np.inf) <= _LOG_MAX:
-        bad = np.argmax(~(log_top <= _LOG_MAX).all(axis=0))
+    (k, n) logs of moduli, beyond double range or not a number; else return
+    the largest entry."""
+    top = log_top.max(initial=-np.inf)
+    if not top <= _LOG_DBL_MAX:
+        bad = np.argmax(~(log_top <= _LOG_DBL_MAX).all(axis=0))
         raise OverflowError(f"theta sum at v = {tuple(v[bad].tolist())} is beyond double range: "
-                            f"its modulus reaches exp({log_top[:, bad].max():.6g}) "
-                            f"(Gaussian peak exp({log_peak[bad]:.6g})), "
-                            f"above exp({_LOG_MAX:.6g})")
+                            f"its Gaussian peak is exp({log_peak[bad]:.6g})")
+    return top
 
 
 def _check_imag_range(v, Z: PeriodMatrix):
@@ -161,12 +160,12 @@ def _check_imag_range(v, Z: PeriodMatrix):
     Gaussian peak beyond range: the peak's log pi y^T Y^-1 y is at least
     pi |y|^2 / tr Y, and this is tested before y is squared, which
     overflows for |y| above about 1e154."""
-    bound = math.sqrt(_LOG_MAX * (Z.z11.imag + Z.z22.imag) / math.pi)
+    bound = math.sqrt(_LOG_DBL_MAX * (Z.z11.imag + Z.z22.imag) / math.pi)
     y = np.abs(v.imag)
     if not y.max(initial=0.0) <= bound:
         bad = np.argmax((y > bound).any(axis=1))
         raise OverflowError(f"theta sum at v = {tuple(v[bad].tolist())} is beyond double range: "
-                            f"its Gaussian peak exceeds exp({_LOG_MAX:.6g})")
+                            f"its Gaussian peak exceeds exp({_LOG_DBL_MAX:.6g})")
 
 
 def _evaluate(chars, v, Z: PeriodMatrix, settings: EvalSettings, radius, grad_order: int):
@@ -181,15 +180,12 @@ def _evaluate(chars, v, Z: PeriodMatrix, settings: EvalSettings, radius, grad_or
     is exp(log peak + i arg P).  The gradient is P (grad S + 2 pi i mu S); a
     tail term at sup-norm j carries 2 pi (j + 1 + |mu - c1|), so it is
     certified at tol / (1 + max |mu - c1|).  Raises OverflowError for a row
-    whose peak, or the peak times a sum, is beyond a quarter of double range
-    (see `_LOG_MAX`) or nan.
+    whose peak, or the peak times a sum, is beyond double range or nan.
     """
     c1, c2 = chars
     _check_imag_range(v, Z)
     u, log_peak = _gaussian_peak(Z, v)
-    peak = log_peak.max(initial=-np.inf)
-    if not peak <= _LOG_MAX:
-        _check_range(v, log_peak, log_peak[None])
+    peak = _check_range(v, log_peak, log_peak[None])
     w = v if c2 is None else v + c2
     mu = np.rint(-u - c1) + c1  # (k, n, 2)
     wp = w + (mu[..., None, :] * Z.as_matrix()).sum(axis=-1)
@@ -207,7 +203,7 @@ def _evaluate(chars, v, Z: PeriodMatrix, settings: EvalSettings, radius, grad_or
     size = np.abs(out).max(axis=1) if grad_order else np.abs(out)
     # the largest sum times the largest peak bounds every row; the rows are
     # tested one by one only when that bound is out of range or a sum is nan
-    if not size.max(initial=0.0) <= math.exp(_LOG_MAX - peak):
+    if not size.max(initial=0.0) <= math.exp(_LOG_DBL_MAX - peak):
         _check_range(v, log_peak, np.log(np.maximum(size, 1e-300)) + log_peak)
     return out * (p[:, None] if grad_order else p)
 
@@ -229,6 +225,20 @@ def theta_char(
 
 # theta[3w; 0] first, theta[w; 0] second: the odd section is their difference
 _ODD_PAIR = _characteristics(quarter_characteristic(3), OMEGA)
+
+
+def _odd_difference(s3, s1, v):
+    """s3 - s1, the odd section from its two sums (rows of v on the last
+    axis); raises OverflowError naming the first row of v where the
+    difference of two finite sums is beyond double range."""
+    with np.errstate(over="ignore"):
+        d = s3 - s1
+    finite = np.isfinite(d)
+    if np.count_nonzero(finite) < d.size:
+        bad = np.argmax(~finite.reshape(-1, len(v)).all(axis=0))
+        raise OverflowError(f"odd section at v = {tuple(v[bad].tolist())} is beyond double range: "
+                            "theta[3w; 0] - theta[w; 0] overflows")
+    return d
 _BASIS = _characteristics(*(quarter_characteristic(k) for k in range(4)))
 
 
@@ -245,7 +255,7 @@ def odd_theta(
     """
     rows, single = _rows(v)
     t3, t1 = _evaluate(_ODD_PAIR, rows, Z, settings, radius, 0)
-    return _unwrap(t3 - t1, single)
+    return _unwrap(_odd_difference(t3, t1, rows), single)
 
 
 def odd_theta_gradient(
@@ -270,7 +280,7 @@ def odd_theta_with_gradient(
     points."""
     rows, single = _rows(v)
     s3, s1 = _evaluate(_ODD_PAIR, rows, Z, settings, radius, 1)
-    t, g1, g2 = (_unwrap(x, single) for x in s3 - s1)
+    t, g1, g2 = (_unwrap(x, single) for x in _odd_difference(s3, s1, rows))
     return t, (g1, g2)
 
 
