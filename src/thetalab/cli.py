@@ -10,6 +10,7 @@ pass, 1 a check failed, 2 invalid input.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -419,7 +420,11 @@ def _add_z_source(p):
                      help='JSON file {"re": [[...]], "im": [[...]]}')
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser, built on first use and shared by every later call in the
+    process: parse_args returns a fresh Namespace each time and nothing
+    changes the parser after it is built."""
     parser = argparse.ArgumentParser(
         prog="thetalab",
         description="Verification lab for the odd theta curve on (1,4)-polarised "

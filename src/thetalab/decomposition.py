@@ -42,7 +42,7 @@ IDENTITY: Element = (0, 0, 0)
 
 
 def _mul(a: Element, b: Element) -> Element:
-    return tuple((x + y) % 2 for x, y in zip(a, b))  # type: ignore[return-value]
+    return (a[0] ^ b[0], a[1] ^ b[1], a[2] ^ b[2])
 
 
 @dataclass
@@ -127,17 +127,18 @@ def all_characters() -> list[CharacterLabel]:
 def isotypic_multiplicities(a: ActionData, genus: int | None = None) -> dict[CharacterLabel, int]:
     """Multiplicity of each character in H^1: the averaged character sum
     m = (1/8)(2g + sum over nontrivial elements of (2 - |Fix|) * chi).
-    All multiplicities must come out nonnegative even integers."""
+    All multiplicities must come out nonnegative even integers; the sum is
+    taken in integers and tested for divisibility by 8."""
     g = a.genus if genus is None else genus
     out = {}
     for chi in all_characters():
-        total = Fraction(2 * g)
-        for name in ELEMENT_ORDER[1:]:
-            total += lefschetz_trace(a.fixed_counts[name]) * chi.value(name)
-        m = total / 8
-        if m.denominator != 1 or m < 0 or int(m) % 2:
-            raise Inconsistent(f"multiplicity of {chi} is {m}, not an even nonnegative integer")
-        out[chi] = int(m)
+        total = 2 * g + sum(lefschetz_trace(a.fixed_counts[name]) * chi.value(name)
+                            for name in ELEMENT_ORDER[1:])
+        if total % 8 or total < 0 or total // 8 % 2:
+            raise Inconsistent(
+                f"multiplicity of {chi} is {Fraction(total, 8)}, not an even nonnegative integer"
+            )
+        out[chi] = total // 8
     return out
 
 
@@ -313,7 +314,7 @@ def assemble_decomposition(a: ActionData | None = None) -> DecompositionResult:
 # validation
 
 
-GroupAlgebra = Mapping[Element, Fraction]
+GroupAlgebra = Mapping[Element, Fraction | int]
 
 
 def group_algebra_projector(chi: CharacterLabel) -> dict[Element, Fraction]:
@@ -321,8 +322,9 @@ def group_algebra_projector(chi: CharacterLabel) -> dict[Element, Fraction]:
     return {e: Fraction(chi.value(e), 8) for e in ELEMENT_NAMES}
 
 
-def _convolve(p: GroupAlgebra, q: GroupAlgebra) -> dict[Element, Fraction]:
-    out = {e: Fraction(0) for e in ELEMENT_NAMES}
+def _convolve(p: GroupAlgebra, q: GroupAlgebra) -> dict[Element, Fraction | int]:
+    """Product in the group algebra; integer coefficients stay integers."""
+    out = dict.fromkeys(ELEMENT_NAMES, 0)
     for a, ca in p.items():
         for b, cb in q.items():
             out[_mul(a, b)] += ca * cb
@@ -351,19 +353,17 @@ def validate_presentation(result: DecompositionResult) -> ValidationReport:
     m = result.multiplicities
     chars = all_characters()
 
-    projectors = {chi: group_algebra_projector(chi) for chi in chars}
-    ok = True
-    for chi, psi in itertools.product(chars, repeat=2):
-        prod = _convolve(projectors[chi], projectors[psi])
-        want = projectors[chi] if chi == psi else {e: Fraction(0) for e in ELEMENT_NAMES}
-        if prod != want:
-            ok = False
-    total = {e: Fraction(0) for e in ELEMENT_NAMES}
-    for chi in chars:
-        for e, c in projectors[chi].items():
-            total[e] += c
-    unit = {e: Fraction(1 if e == IDENTITY else 0) for e in ELEMENT_NAMES}
-    ok = ok and total == unit
+    # on 8 p_chi, whose coefficients chi(alpha) are integers:
+    # p_chi p_psi = delta p_chi reads (8 p_chi)(8 p_psi) = 8 delta (8 p_chi),
+    # and sum p_chi = 1 reads sum 8 p_chi = 8 * 1
+    eight_p = {chi: {e: chi.value(e) for e in ELEMENT_NAMES} for chi in chars}
+    ok = all(
+        _convolve(eight_p[chi], eight_p[psi])
+        == {e: 8 * c if chi == psi else 0 for e, c in eight_p[chi].items()}
+        for chi, psi in itertools.product(chars, repeat=2)
+    )
+    total = {e: sum(eight_p[chi][e] for chi in chars) for e in ELEMENT_NAMES}
+    ok = ok and total == {e: 8 if e == IDENTITY else 0 for e in ELEMENT_NAMES}
     checks.append(CheckItem("projectors_orthogonal_idempotent_sum_to_1", ok))
 
     ok = sum(m.values()) == 2 * result.action.genus

@@ -1,9 +1,12 @@
 """Exact linear algebra over the rationals and integers.
 
-Small, dependency-free routines used by the lattice/polarization layer:
-Fraction-valued Gaussian elimination, integer Smith normal form, and a
-column-style Hermite reduction for extracting a Z-basis of a rational
-lattice from a redundant generating set.  Everything here is exact; no
+Small, dependency-free routines used by the lattice/polarization layer.
+The working routines run on Python ints: a rational matrix is cleared to
+(integer matrix, common denominator) once by ``clear_denominators``, and
+integer Smith normal form and a column-style Hermite reduction (a Z-basis
+of a lattice from a redundant generating set) take it from there.
+``Fraction`` matrices remain the API at the edge (``mat``, ``det``,
+``inverse``) and the tests' reference.  Everything here is exact; no
 floating point enters.
 """
 
@@ -97,6 +100,14 @@ def is_integral(A: Sequence[Sequence[Fraction]]) -> bool:
 def scale(A: Sequence[Sequence[Fraction]], c) -> Matrix:
     c = Fraction(c)
     return [[c * x for x in row] for row in A]
+
+
+def clear_denominators(A: Sequence[Sequence]) -> tuple[list[list[int]], int]:
+    """(N, d) with A = N / d: d the lcm of the entries' denominators and N
+    an integer matrix."""
+    A = [[Fraction(x) for x in row] for row in A]
+    d = math.lcm(*(x.denominator for row in A for x in row))
+    return [[int(x * d) for x in row] for row in A], d
 
 
 # ---------------------------------------------------------------------------
@@ -194,12 +205,8 @@ def rational_lattice_basis(generators: Sequence[Sequence[Fraction]]) -> Matrix:
 
     Clears denominators, runs the integer column reduction, restores scale.
     """
-    gens = [vec(g) for g in generators]
-    if not gens:
+    if not generators:
         return []
-    n = len(gens[0])
-    denom = math.lcm(*(x.denominator for g in gens for x in g))
-    cols = [[int(x * denom) for x in g] for g in gens]
-    A = [[cols[j][i] for j in range(len(cols))] for i in range(n)]
-    B = column_lattice_basis(A)
+    cols, denom = clear_denominators(generators)
+    B = column_lattice_basis(transpose(cols))
     return [[Fraction(x, denom) for x in row] for row in B]

@@ -7,6 +7,12 @@ least multiplier that restores integrality reproduces the polarization
 types of the quotient surfaces JH/G: principal for isotropic Klein G,
 (1,4) for non-isotropic, (1,2) for a single two-torsion point.
 
+The arithmetic runs on Python ints: a form's Gram matrix on a lattice
+basis is formed once as (integer matrix H, denominator q), and integrality,
+the least multiplier, nondegeneracy and the Smith type are read off H.
+``Fraction`` stays at the API (Gram matrices, lattice bases, generators)
+and is the tests' reference.
+
 Also here: the lattice-side Weil pairing on (1/2 Z^4)/Z^4 together with
 its explicit dictionary onto the even-subset model at genus 2, the genus
 feasibility enumerator for symmetric curves on abelian surfaces, and the
@@ -15,6 +21,7 @@ structure of the kernel group K(L) of a polarization.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -57,11 +64,13 @@ class AlternatingForm:
         G = exact.mat(gram)
         if len(G) != 4 or any(len(row) != 4 for row in G):
             raise OutOfRange("expected a 4x4 matrix")
+        N, d = exact.clear_denominators(G)
         for i in range(4):
             for j in range(4):
-                if G[i][j] != -G[j][i]:
+                if N[i][j] != -N[j][i]:
                     raise Inconsistent("Gram matrix is not skew-symmetric")
         self.gram: Matrix = G
+        self._num, self._den = N, d  # gram = _num / _den
 
     @classmethod
     def standard_symplectic(cls) -> "AlternatingForm":
@@ -78,8 +87,16 @@ class AlternatingForm:
         xv, yv = exact.vec(x), exact.vec(y)
         return sum(xv[i] * self.gram[i][j] * yv[j] for i in range(4) for j in range(4))
 
+    def integer_gram(self, B: Sequence[Sequence[int]], d: int = 1) -> tuple[list[list[int]], int]:
+        """The Gram matrix on the columns of the integer matrix B, divided
+        by d, as (H, q): the matrix is H / q with H = B^T (q_E E) B an
+        integer matrix and q = q_E d^2, q_E the common denominator of E."""
+        H = exact.matmul(exact.matmul(exact.transpose(B), self._num), B)
+        return H, self._den * d * d
+
     def gram_on(self, basis: Matrix) -> Matrix:
-        return exact.matmul(exact.matmul(exact.transpose(basis), self.gram), basis)
+        H, q = self.integer_gram(*exact.clear_denominators(basis))
+        return [[Fraction(h, q) for h in row] for row in H]
 
     def scaled(self, c) -> "AlternatingForm":
         return AlternatingForm(exact.scale(self.gram, c))
@@ -150,21 +167,33 @@ class HalfTorsionSubgroup:
         return 2 ** self.rank
 
 
+@functools.cache
+def _principal_form() -> AlternatingForm:
+    """The default form, built once; nothing in this module changes it."""
+    return AlternatingForm.standard_symplectic()
+
+
+def _skew_type(H: Sequence[Sequence[int]]) -> PolarizationType:
+    """Type (d1, d2) of an integer skew Gram matrix from its Smith divisors
+    d1, d1, d2, d2; a zero divisor means a zero determinant."""
+    divs = exact.integer_snf(H)
+    if 0 in divs:
+        raise Degenerate("form is degenerate on the lattice")
+    if divs[0] != divs[1] or divs[2] != divs[3]:
+        raise Inconsistent(f"divisors {divs} do not pair up; form not skew?")
+    return PolarizationType(divs[0], divs[2])
+
+
 def smith_type(form: AlternatingForm, lattice: RationalLattice) -> PolarizationType:
     """Elementary divisors (d1, d2) of the form on the lattice.
 
     The Gram matrix in the lattice basis must be integral and nonsingular;
     a skew form has Smith divisors d1, d1, d2, d2.
     """
-    G = form.gram_on(lattice.basis)
-    if not exact.is_integral(G):
+    H, q = form.integer_gram(*exact.clear_denominators(lattice.basis))
+    if any(h % q for row in H for h in row):
         raise NotIntegral("form is not integer valued on the lattice")
-    if exact.det(G) == 0:
-        raise Degenerate("form is degenerate on the lattice")
-    divs = exact.integer_snf([[int(x) for x in row] for row in G])
-    if divs[0] != divs[1] or divs[2] != divs[3]:
-        raise Inconsistent(f"divisors {divs} do not pair up; form not skew?")
-    return PolarizationType(divs[0], divs[2])
+    return _skew_type([[h // q for h in row] for row in H])
 
 
 def quotient_polarization_type(
@@ -172,17 +201,20 @@ def quotient_polarization_type(
 ) -> tuple[int, PolarizationType]:
     """Type of the polarization induced on the quotient by G.
 
-    Forms the overlattice L' = Z^4 + lifts(G), takes the least multiplier
-    c that makes c*E integral on L' (the lcm of the denominators of E's Gram
-    matrix on L'), and returns (c, smith_type(c*E, L')).  With the principal
-    form: isotropic Klein -> (2, (1,1)), non-isotropic Klein -> (4, (1,4)),
-    single two-torsion -> (2, (1,2)).
+    Forms the overlattice L' = Z^4 + lifts(G) from a Z-basis of the integer
+    columns of 2 L', takes E's Gram matrix H / q on it once, and returns the
+    least multiplier c that makes c*E integral on L', c = q / gcd(q, H),
+    with the Smith type of c*E on L'.  With the principal form: isotropic
+    Klein -> (2, (1,1)), non-isotropic Klein -> (4, (1,4)), single
+    two-torsion -> (2, (1,2)).
     """
     if E is None:
-        E = AlternatingForm.standard_symplectic()
-    L = RationalLattice.overlattice(G.generators)
-    c = math.lcm(*(x.denominator for row in E.gram_on(L.basis) for x in row))
-    return c, smith_type(E.scaled(c), L)
+        E = _principal_form()
+    cols = [[2 * int(i == j) for i in range(4)] for j in range(4)]
+    cols += [[2 * x.numerator // x.denominator for x in g] for g in G.generators]
+    H, q = E.integer_gram(exact.column_lattice_basis(exact.transpose(cols)), 2)
+    common = math.gcd(q, *(h for row in H for h in row))
+    return q // common, _skew_type([[h // common for h in row] for row in H])
 
 
 def lattice_weil_pairing(x: Sequence, y: Sequence, E: AlternatingForm | None = None) -> int:

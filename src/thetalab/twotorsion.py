@@ -124,11 +124,16 @@ def _display_order(c: TwoTorsionClass) -> tuple:
     return (c.weight, c.sorted_members())
 
 
+def _pairing(a: int, b: int) -> int:
+    """Weil pairing of two masks: the parity of the popcount of a & b."""
+    return (a & b).bit_count() & 1
+
+
 def weil(a: TwoTorsionClass, b: TwoTorsionClass) -> int:
     """Weil pairing: parity of |S intersect T| (well defined mod complement)."""
     if a.genus != b.genus:
         raise GenusMismatch(f"genus {a.genus} vs {b.genus}")
-    return (a.mask & b.mask).bit_count() & 1
+    return _pairing(a.mask, b.mask)
 
 
 def all_classes(genus: int) -> list[TwoTorsionClass]:
@@ -167,9 +172,9 @@ class KleinSubgroup:
     def __init__(self, eta1: TwoTorsionClass, eta2: TwoTorsionClass):
         if eta1.genus != eta2.genus:
             raise GenusMismatch(f"genus {eta1.genus} vs {eta2.genus}")
-        if eta1.is_zero() or eta2.is_zero():
+        if not (eta1.mask and eta2.mask):
             raise ZeroClass("Klein subgroup generators must be nonzero")
-        if eta1 == eta2:
+        if eta1.mask == eta2.mask:
             raise Degenerate("generators coincide; the subgroup is cyclic")
         self.eta1 = eta1
         self.eta2 = eta2
@@ -203,6 +208,19 @@ class CoverClass(Enum):
     UNDETERMINED = "Undetermined"
 
 
+def _cover_class(a: int, b: int, n: int) -> CoverClass:
+    """classify_klein_cover's verdict on the masks a, b of two generators,
+    with n = 2g + 2 branch points: a mask's weight is the size of its
+    smaller representative, min(popcount m, n - popcount m)."""
+    if not _pairing(a, b):
+        return CoverClass.NOT_HYPERELLIPTIC
+    for m in (a, b, a ^ b):
+        w = m.bit_count()
+        if min(w, n - w) != 2:
+            return CoverClass.UNDETERMINED
+    return CoverClass.HYPERELLIPTIC
+
+
 def classify_klein_cover(G: KleinSubgroup) -> CoverClass:
     """Hyperellipticity of the connected (Z2 x Z2)-covering defined by G.
 
@@ -211,11 +229,7 @@ def classify_klein_cover(G: KleinSubgroup) -> CoverClass:
     do.  Non-isotropic groups with a heavier generator (possible from
     genus 3 on) are left undetermined.
     """
-    if G.is_isotropic():
-        return CoverClass.NOT_HYPERELLIPTIC
-    if all(c.weight == 2 for c in (G.eta1, G.eta2, G.eta1 + G.eta2)):
-        return CoverClass.HYPERELLIPTIC
-    return CoverClass.UNDETERMINED
+    return _cover_class(G.eta1.mask, G.eta2.mask, 2 * G.genus + 2)
 
 
 @dataclass
@@ -237,19 +251,24 @@ def enumerate_klein(genus: int) -> KleinCensus:
     if genus > _ENUM_GENUS_CAP:
         raise TooLarge(f"genus {genus} > {_ENUM_GENUS_CAP}: {4**genus} classes")
     nz = nonzero_classes(genus)
-    rank = {c.mask: i for i, c in enumerate(nz)}
-    # (a, b) is its group's first pair when a + b ranks after b
-    groups = [KleinSubgroup(a, b) for a, b in itertools.combinations(nz, 2)
-              if rank[a.mask ^ b.mask] > rank[b.mask]]
-    iso = sum(1 for G in groups if G.is_isotropic())
-    kinds = [classify_klein_cover(G) for G in groups]
+    masks = [c.mask for c in nz]
+    rank = {m: i for i, m in enumerate(masks)}
+    n = 2 * genus + 2
+    groups, kinds = [], []
+    for i, a in enumerate(masks):
+        for j, b in enumerate(masks[i + 1:], i + 1):
+            # (a, b) is its group's first pair when a + b ranks after b
+            if rank[a ^ b] > j:
+                groups.append(KleinSubgroup(nz[i], nz[j]))
+                kinds.append(_cover_class(a, b, n))
+    iso = kinds.count(CoverClass.NOT_HYPERELLIPTIC)
     return KleinCensus(
         genus=genus,
         total=len(groups),
         isotropic=iso,
         non_isotropic=len(groups) - iso,
-        hyperelliptic=sum(1 for k in kinds if k is CoverClass.HYPERELLIPTIC),
-        undetermined=sum(1 for k in kinds if k is CoverClass.UNDETERMINED),
+        hyperelliptic=kinds.count(CoverClass.HYPERELLIPTIC),
+        undetermined=kinds.count(CoverClass.UNDETERMINED),
         groups=groups,
     )
 
@@ -357,20 +376,23 @@ def z23_contains_isotropic(genus: int, keep_witnesses: int = 3) -> Z23Report:
     rank = {m: i for i, m in enumerate(nz)}
     total = found = 0
     witnesses = []
-    for triple in itertools.combinations(nz, 3):
-        # its group's first triple: x, y its first two classes, z the first
-        # class outside their span
-        x, y, z = triple
-        if not (rank[x ^ y] > rank[y] and z != x ^ y
-                and rank[z] < min(rank[z ^ x], rank[z ^ y], rank[z ^ x ^ y])):
-            continue
-        total += 1
-        elements = [TwoTorsionClass(genus, m)
-                    for m in sorted(span(triple)[1:], key=rank.__getitem__)]
-        witness = next((KleinSubgroup(s, t) for s, t in itertools.combinations(elements, 2)
-                        if weil(s, t) == 0), None)
-        if witness is not None:
-            found += 1
-            if len(witnesses) < keep_witnesses:
-                witnesses.append((tuple(TwoTorsionClass(genus, m) for m in triple), witness))
+    # each group's first triple: x, y its first two classes (so x + y ranks
+    # after y), z the first class of its coset z + <x, y>
+    for i, x in enumerate(nz):
+        for j, y in enumerate(nz[i + 1:], i + 1):
+            xy = x ^ y
+            if rank[xy] < j:
+                continue
+            for k, z in enumerate(nz[j + 1:], j + 1):
+                if z == xy or k > min(rank[z ^ x], rank[z ^ y], rank[z ^ xy]):
+                    continue
+                total += 1
+                elements = sorted(span((x, y, z))[1:], key=rank.__getitem__)
+                pair = next(((s, t) for s, t in itertools.combinations(elements, 2)
+                             if not _pairing(s, t)), None)
+                if pair is not None:
+                    found += 1
+                    if len(witnesses) < keep_witnesses:
+                        cls = [TwoTorsionClass(genus, m) for m in (x, y, z, *pair)]
+                        witnesses.append((tuple(cls[:3]), KleinSubgroup(*cls[3:])))
     return Z23Report(genus, total, found, witnesses)

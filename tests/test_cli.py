@@ -366,3 +366,37 @@ def test_unknown_subcommand_exits_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["no-such-command"])
     assert exc.value.code == 2
+
+
+def test_parser_is_reused_without_leaking_state(capsys, monkeypatch):
+    # one parser serves every call in a process; each report must be the
+    # one the same call gives on a parser built for it alone
+    def consecutive(*calls):
+        """(code, report) of each (argv, THETA_LAB_TOL) call, in order."""
+        parser = cli.build_parser()
+        out = []
+        for argv, env in calls:
+            if env is None:
+                monkeypatch.delenv("THETA_LAB_TOL", raising=False)
+            else:
+                monkeypatch.setenv("THETA_LAB_TOL", env)
+            code, text, _ = run(capsys, argv)
+            out.append((code, json_body(text)))
+        assert cli.build_parser() is parser
+        return out
+
+    enumerate_g2 = ["klein", "--genus", "2", "--enumerate"]
+    sequences = [
+        [(enumerate_g2, None), (["klein", "--genus", "2", "--classify", "1,2", "1,3"], None)],
+        [(enumerate_g2 + ["--tol", "1e-10"], None), (enumerate_g2, None)],
+        [(enumerate_g2, "1e-9"), (enumerate_g2, "1e-11")],
+    ]
+    for calls in sequences:
+        together = consecutive(*calls)
+        for call, got in zip(calls, together):
+            cli.build_parser.cache_clear()
+            assert consecutive(call) == [got]
+    assert [r["tol"] for _, r in consecutive(*sequences[1])] == [1e-10, cli.DEFAULT_TOL]
+    assert [r["tol"] for _, r in consecutive(*sequences[2])] == [1e-9, 1e-11]
+    assert [r["extras"].get("verdict") for _, r in consecutive(*sequences[0])] == [
+        None, "Hyperelliptic"]

@@ -125,6 +125,19 @@ def test_multiplicities_reject_inconsistent_counts():
         isotypic_multiplicities(a, genus=4)
 
 
+@pytest.mark.parametrize("genus,iota,shown", [
+    (7, 12, "1/2"),  # 4/8 is no integer, though its floor is even
+    (9, 12, "1"),    # 8/8 is an integer, but odd
+    (5, 28, "-2"),   # -16/8 is an even integer, but negative
+])
+def test_multiplicities_reject_each_failure(genus, iota, shown):
+    # the trivial character's sum 2g + sum (2 - |Fix|) fails one test each
+    a = ActionData.standard()
+    a = ActionData(a.genus, {**a.fixed_counts, "iota": iota})
+    with pytest.raises(Inconsistent, match=f"multiplicity of \\(\\+,\\+,\\+\\) is {shown}, not"):
+        isotypic_multiplicities(a, genus=genus)
+
+
 # ---------------------------------------------------------------------------
 # quotient genera
 

@@ -6,6 +6,7 @@ on the Weil-pairing structure of the kernel, and the determinant identity
 d1*d2 = c^2 / [L' : Z^4] cross-checks every Smith computation.
 """
 
+import functools
 import itertools
 from fractions import Fraction
 
@@ -31,7 +32,7 @@ from thetalab import (
     quotient_polarization_type,
     weil,
 )
-from thetalab.exact import is_integral, mat, matmul
+from thetalab.exact import integer_snf, is_integral, mat, matmul, transpose
 from thetalab.lattice import smith_type
 
 from test_exact import random_unimodular
@@ -119,9 +120,11 @@ def test_quotient_type_all_klein_groups():
     assert seen == {"isotropic": 15, "non": 20}
 
 
+@functools.cache
 def half_torsion_subgroups():
     """One generator list for each of the 66 nonzero subgroups of
-    (1/2 Z^4)/Z^4, found by closing generator sets under addition mod Z^4."""
+    (1/2 Z^4)/Z^4, found by closing generator sets under addition mod Z^4.
+    Built once for the module; a tuple, so no test can change it."""
     nonzero = half_torsion_classes()[1:]
     spans = {}
     for r in range(1, 5):
@@ -130,11 +133,21 @@ def half_torsion_subgroups():
             for g in gens:
                 elements |= {tuple((x + y) % 1 for x, y in zip(g, e)) for e in elements}
             spans.setdefault(frozenset(elements), gens)
-    return list(spans.values())
+    return tuple(spans.values())
 
 
 def prime_factors(n):
     return [p for p in range(2, n + 1) if n % p == 0 and all(p % q for q in range(2, p))]
+
+
+def fraction_type(gens, E, c):
+    """Smith divisors of c * B^T E B, with B the overlattice basis, from a
+    plain Fraction product: a reference that shares no code with the
+    integer Gram matrix of AlternatingForm."""
+    B = RationalLattice.overlattice(gens).basis
+    G = [[c * x for x in row] for row in matmul(matmul(transpose(B), E.gram), B)]
+    assert is_integral(G)
+    return integer_snf([[int(x) for x in row] for row in G])
 
 
 @pytest.mark.parametrize("E", [AlternatingForm.standard_symplectic(),
@@ -143,11 +156,12 @@ def test_quotient_multiplier_is_least(E):
     subgroups = half_torsion_subgroups()
     assert len(subgroups) == 15 + 35 + 15 + 1
     for gens in subgroups:
-        c, _ = quotient_polarization_type(HalfTorsionSubgroup(gens), E)
+        c, t = quotient_polarization_type(HalfTorsionSubgroup(gens), E)
         L = RationalLattice.overlattice(gens)
         assert is_integral(E.scaled(c).gram_on(L.basis))
         for p in prime_factors(c):
             assert not is_integral(E.scaled(Fraction(c, p)).gram_on(L.basis))
+        assert fraction_type(gens, E, c) == [t.d1, t.d1, t.d2, t.d2]
 
 
 def test_quotient_multiplier_clears_odd_denominators():
@@ -159,6 +173,7 @@ def test_quotient_multiplier_clears_odd_denominators():
         c, t = quotient_polarization_type(sub, third)
         c0, t0 = quotient_polarization_type(sub)
         assert (c, t) == (3 * c0, t0)
+        assert fraction_type(gens, third, c) == [t.d1, t.d1, t.d2, t.d2]
 
 
 def test_quotient_type_determinant_identity():
