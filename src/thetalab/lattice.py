@@ -220,7 +220,7 @@ def quotient_polarization_type(
 def lattice_weil_pairing(x: Sequence, y: Sequence, E: AlternatingForm | None = None) -> int:
     """Weil pairing of two half-torsion points: E(2x, 2y) mod 2."""
     if E is None:
-        E = AlternatingForm.standard_symplectic()
+        E = _principal_form()
     xv, yv = exact.vec(x), exact.vec(y)
     for v in (xv, yv):
         if any(2 % t.denominator for t in v):
