@@ -54,7 +54,6 @@ W1_TOL = 1e-9
 W2_SPREAD_TOL = 1e-8
 AUTOMORPHY_TOL = 1e-8
 NEGATION_TOL = 1e-8
-SEPARATION_MIN = 1e4
 COMPONENT_TOL = 1e-10
 CONTROL_RATIO = 1e-6
 
@@ -153,19 +152,19 @@ def cmd_verify_surface(args, report: Report) -> None:
 
     scan = two_torsion_scan(Z, settings)
     counts = scan.counts()
-    sep = scan.separation_ratio()
     ok = (
         counts["OddVanishing"] == 12
         and counts["EvenVanishing"] == 0
         and counts["NonVanishing"] == 4
-        and sep >= SEPARATION_MIN
+        and scan.worst_zero <= scan.bound
     )
     report.add(
         "two_torsion_scan",
         ok,
         None,
         f"odd={counts['OddVanishing']} even={counts['EvenVanishing']} "
-        f"non={counts['NonVanishing']} separation={sep:.3e}",
+        f"non={counts['NonVanishing']} worst_zero={scan.worst_zero:.3e} "
+        f"bound={scan.bound:.3e} least_nonzero={scan.least_nonzero():.3e}",
     )
 
     qp = quasi_periodicity_check(Z, settings, n_samples=args.samples, seed=args.seed)
@@ -233,15 +232,17 @@ def cmd_product_case(args, report: Report) -> None:
         counts["OddVanishing"] == 12
         and counts["EvenVanishing"] == 4
         and pc.node_labels == pc.expected_node_labels()
+        and pc.scan.worst_zero <= pc.scan.bound
     )
     report.add(
         "torsion_multiplicity_split",
         ok,
         None,
-        f"odd={counts['OddVanishing']} nodes={counts['EvenVanishing']}",
+        f"odd={counts['OddVanishing']} nodes={counts['EvenVanishing']} "
+        f"worst_zero={pc.scan.worst_zero:.3e} bound={pc.scan.bound:.3e}",
     )
 
-    copies = four_copy_scan(Z, settings)
+    copies = four_copy_scan(pc.scan)
     summary = four_copy_summary(copies)
     ok = summary["pairwise_distinct"] and summary["union_count"] == 16
     report.add(

@@ -179,11 +179,16 @@ def quotient_genus(a: ActionData, K: frozenset[Element] | Iterable[str], genus: 
     """Genus of the quotient curve by a subgroup K, via Riemann-Hurwitz
     2g - 2 = |K| (2 g' - 2) + sum of fixed counts over K \\ {1}, verified
     against the character-multiplicity sum."""
+    return _quotient_genus(a, K, a.genus if genus is None else genus)
+
+
+def _quotient_genus(a: ActionData, K, g: int, m: dict[CharacterLabel, int] | None = None) -> int:
+    """quotient_genus at genus g; a caller that asks for many subgroups
+    passes the multiplicities m of (a, g), computed once."""
     if not isinstance(K, frozenset):
         K = subgroup_from_names(K)
     if not all(_mul(x, y) in K for x in K for y in K):
         raise Inconsistent(f"{sorted(ELEMENT_NAMES[e] for e in K)} is not a subgroup")
-    g = a.genus if genus is None else genus
     branch = sum(a.fixed(e) for e in K if e != IDENTITY)
     num = 2 * g - 2 - branch
     if num % (2 * len(K)):
@@ -193,7 +198,8 @@ def quotient_genus(a: ActionData, K: frozenset[Element] | Iterable[str], genus: 
     gq = num // (2 * len(K)) + 1
     if gq < 0:
         raise NonIntegerGenus(f"negative quotient genus {gq}")
-    m = isotypic_multiplicities(a, g)
+    if m is None:
+        m = isotypic_multiplicities(a, g)
     via_chars = sum(m[chi] for chi in m if chi.is_trivial_on(K)) // 2
     if via_chars != gq:
         raise Inconsistent(
@@ -306,7 +312,7 @@ def assemble_decomposition(a: ActionData | None = None) -> DecompositionResult:
             [Slot(s1, dim_of(s1), (2,)), Slot(s2, dim_of(s2), (2,))],
         )
 
-    table = {subgroup_name(K): quotient_genus(a, K) for K in subgroups_z23()}
+    table = {subgroup_name(K): _quotient_genus(a, K, a.genus, m) for K in subgroups_z23()}
     return DecompositionResult(a, m, main, quotients, table)
 
 
@@ -383,10 +389,11 @@ def validate_presentation(result: DecompositionResult) -> ValidationReport:
     # with a filled table is itself the dual-route agreement check
     ok = True
     detail = []
+    m_action = isotypic_multiplicities(result.action)
     for K in subgroups_z23():
         name = subgroup_name(K)
         try:
-            g = quotient_genus(result.action, K)
+            g = _quotient_genus(result.action, K, result.action.genus, m_action)
         except Exception as exc:  # pragma: no cover - defensive
             ok = False
             detail.append(f"{name}: {exc}")

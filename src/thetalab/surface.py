@@ -1,12 +1,22 @@
 """Numerical certificates for the odd-theta curve on the (1,4) surface.
 
 Operations here probe the zero divisor of the odd section through the 16
-two-torsion points (value/gradient scan with scale-free thresholds), its
-quasi-periodicity under the half-periods w1 = (0, 2) and
-w2 = (z12/2, z22/2), the linearised (-1)-action on the four basis
-sections, the five-component splitting over a product of elliptic curves,
-and the four distinct translates of the curve cut out by order-2 points
-of the polarisation kernel.
+two-torsion points, its quasi-periodicity under the half-periods
+w1 = (0, 2) and w2 = (z12/2, z22/2), the linearised (-1)-action on the
+four basis sections, the five-component splitting over a product of
+elliptic curves, and the four distinct translates of the curve cut out by
+order-2 points of the polarisation kernel.
+
+The torsion scan classifies by characteristic parity, not by tuned
+thresholds.  The curve is the pull-back of a genus-2 theta divisor under
+the isogeny A -> J, so theta_A at t = (Z alpha + D beta)/2 is a multiple
+of a genus-2 theta constant whose characteristic is odd exactly when
+alpha1 * beta1 = 0: those 12 points are simple zeros (an odd genus-2
+theta function has a nonzero gradient at 0).  The other four are
+multiples of one even theta constant, which vanishes exactly on the
+product locus (Mumford, Tata Lectures on Theta I-II).  Only that constant
+is decided numerically, against a bound derived from the truncation
+tolerance and the rounding of the sum.
 """
 
 from __future__ import annotations
@@ -25,12 +35,8 @@ from .siegel import (
     random_point,
     two_torsion_points,
 )
-from .theta import _gaussian_peak, _points, _rows, _unwrap
-from .theta import odd_theta, odd_theta_with_gradient, theta_basis
-
-# classification thresholds, relative to the scan's scale
-VALUE_RATIO = 1e-6
-GRAD_RATIO = 1e-6
+from .theta import _gaussian_peak, _points, _rows, _unwrap, truncation_radius
+from .theta import odd_theta, theta_basis
 
 
 def canonical_weight(Z: PeriodMatrix, v):
@@ -45,17 +51,6 @@ def canonical_weight(Z: PeriodMatrix, v):
     rows, single = _rows(v)
     return _unwrap(np.exp(-_gaussian_peak(Z, rows)[1]), single)
 
-# fixed torus coordinates used to probe the overall magnitude of the odd
-# section; deterministic so that repeated scans agree bit-for-bit
-_PROBE_COORDS = (
-    (0.137, 0.411, 0.293, 0.071),
-    (0.613, 0.157, 0.449, 0.359),
-    (0.082, 0.733, 0.191, 0.547),
-    (0.911, 0.269, 0.617, 0.023),
-    (0.353, 0.859, 0.757, 0.481),
-    (0.529, 0.047, 0.883, 0.701),
-)
-
 
 class ScanKind(Enum):
     ODD_VANISHING = "OddVanishing"
@@ -65,12 +60,11 @@ class ScanKind(Enum):
 
 @dataclass(frozen=True)
 class ScanRecord:
-    """One classified point; magnitudes carry the canonical weight."""
+    """One classified point; abs_value carries the canonical weight."""
 
     label: TorsionLabel
     point: SurfacePoint
     abs_value: float
-    grad_norm: float
     kind: ScanKind
 
 
@@ -78,20 +72,20 @@ class ScanRecord:
 class ScanResult:
     """Classification of the 16 two-torsion points.
 
-    All magnitudes are normalised by the canonical weight, which removes
-    the exponential spread the automorphy factors impose across torsion
-    points.  A point counts as vanishing when the weighted |theta_A| is
-    below VALUE_RATIO times the value scale; a vanishing point is even
-    (double point of the curve) when the weighted gradient norm is also
-    below GRAD_RATIO times the gradient scale, and odd (simple point)
-    otherwise.  Scales are maxima over the torsion points *and* a fixed
-    set of generic probe points, so the thresholds stay meaningful when
-    all sixteen values vanish.
+    The 12 points with alpha1 * beta1 = 0 are OddVanishing by parity.
+    Each of the four with alpha1 = beta1 = 1 is EvenVanishing when its
+    weighted |theta_A| is at most `bound`, and NonVanishing otherwise.
+    Weighted |theta_A| is the difference of two sums taken relative to
+    their Gaussian peak, each term at most 1, so with n = (2R+1)^2 terms
+    each sum is off by less than tol (its tail) plus n u sum|terms| <= n^2 u
+    (rounding, u machine epsilon; Higham, ch. 4): bound = 2 (tol + n^2 u).
+    `worst_zero` is the largest weighted value at a predicted zero; the
+    scan is consistent when it is at most `bound`.
     """
 
     records: list[ScanRecord]
-    value_scale: float
-    grad_scale: float
+    bound: float
+    worst_zero: float
 
     def labels(self, kind: ScanKind) -> list[TorsionLabel]:
         return [r.label for r in self.records if r.kind is kind]
@@ -102,51 +96,34 @@ class ScanResult:
             out[r.kind.value] += 1
         return out
 
+    def least_nonzero(self) -> float:
+        """min weighted |theta_A| over the NonVanishing points (inf if none)."""
+        return min((r.abs_value for r in self.records if r.kind is ScanKind.NON_VANISHING),
+                   default=float("inf"))
+
     def separation_ratio(self) -> float:
-        """min nonvanishing |theta| / max vanishing |theta| (inf if a side
-        is empty)."""
-        vanishing = [r.abs_value for r in self.records if r.kind is not ScanKind.NON_VANISHING]
-        nonvanishing = [r.abs_value for r in self.records if r.kind is ScanKind.NON_VANISHING]
-        if not vanishing or not nonvanishing:
-            return float("inf")
-        return min(nonvanishing) / max(max(vanishing), 5e-324)
+        """least_nonzero() / worst_zero (inf if no point is NonVanishing)."""
+        return self.least_nonzero() / max(self.worst_zero, 5e-324)
 
 
-def two_torsion_scan(
-    Z: PeriodMatrix,
-    settings: EvalSettings = EvalSettings(),
-    shift: tuple[complex, complex] | None = None,
-) -> ScanResult:
-    """Evaluate the odd section and its gradient at the 16 two-torsion
-    points (optionally translated by `shift`) and classify each point.
-
-    The torsion points and the probes go to the evaluator in one call."""
+def two_torsion_scan(Z: PeriodMatrix, settings: EvalSettings = EvalSettings()) -> ScanResult:
+    """Classify the 16 two-torsion points by parity (alpha1 * beta1 = 0 is
+    odd) and read the values, weighted, from one value-only odd_theta call
+    at the radius R it picks; see ScanResult for the bound."""
     torsion = two_torsion_points(Z)
-    probes = [
-        SurfacePoint.from_torus_coords(Z, (x1, x2), (y1, y2))
-        for x1, x2, y1, y2 in _PROBE_COORDS
-    ]
-    pts = _points([pt for _, pt in torsion] + probes)
-    if shift is not None:
-        pts += np.array(shift, dtype=complex)
-    val, (g1, g2) = odd_theta_with_gradient(pts, Z, settings)
-    w = canonical_weight(Z, pts)
-    values = w * np.abs(val)
-    grads = w * np.hypot(np.abs(g1), np.abs(g2))
-    value_scale, grad_scale = float(values.max()), float(grads.max())
-
+    pts = _points([pt for _, pt in torsion])
+    values = (canonical_weight(Z, pts) * np.abs(odd_theta(pts, Z, settings))).tolist()
+    R = truncation_radius(Z.min_imag_eigenvalue(), 0.5, settings.tol, settings.max_radius)
+    bound = 2.0 * (settings.tol + (2 * R + 1) ** 4 * np.finfo(float).eps)
     records = []
-    for (label, _), pt, a, g in zip(torsion, pts, values.tolist(), grads.tolist()):
-        if a < VALUE_RATIO * value_scale:
-            kind = (
-                ScanKind.EVEN_VANISHING
-                if g < GRAD_RATIO * grad_scale
-                else ScanKind.ODD_VANISHING
-            )
+    for (label, pt), a in zip(torsion, values):
+        if label.alpha[0] * label.beta[0] == 0:
+            kind = ScanKind.ODD_VANISHING
         else:
-            kind = ScanKind.NON_VANISHING
-        records.append(ScanRecord(label, SurfacePoint(*pt.tolist()), a, g, kind))
-    return ScanResult(records, value_scale, grad_scale)
+            kind = ScanKind.EVEN_VANISHING if a <= bound else ScanKind.NON_VANISHING
+        records.append(ScanRecord(label, pt, a, kind))
+    worst = max(r.abs_value for r in records if r.kind is not ScanKind.NON_VANISHING)
+    return ScanResult(records, bound, worst)
 
 
 # ---------------------------------------------------------------------------
@@ -407,36 +384,40 @@ class FourCopyRecord:
     shift: tuple[complex, complex]
     vanishing_labels: frozenset[TorsionLabel]
     even_labels: frozenset[TorsionLabel]
+    values: dict[TorsionLabel, float] = field(hash=False)  # weighted |theta_A| by label
 
 
-def four_copy_translates(Z: PeriodMatrix) -> list[tuple[str, tuple[complex, complex]]]:
-    """Coset representatives of the order-2 polarisation kernel inside the
-    full 2-torsion: 0, Z e1/2, D e1/2 and their sum.  Translating the curve
-    by these produces the four copies through the torsion points."""
-    ze1 = (Z.z11 / 2.0, Z.z12 / 2.0)
-    de1 = (0.5 + 0.0j, 0.0 + 0.0j)
-    return [
-        ("0", (0.0 + 0.0j, 0.0 + 0.0j)),
-        ("Ze1/2", ze1),
-        ("De1/2", de1),
-        ("Ze1/2+De1/2", (ze1[0] + de1[0], ze1[1] + de1[1])),
-    ]
+# coset representatives of the order-2 polarisation kernel inside the full
+# 2-torsion, as torsion labels: 0, Z e1/2, D e1/2 and their sum
+_COPY_SHIFTS = (
+    ("0", TorsionLabel((0, 0), (0, 0))),
+    ("Ze1/2", TorsionLabel((1, 0), (0, 0))),
+    ("De1/2", TorsionLabel((0, 0), (1, 0))),
+    ("Ze1/2+De1/2", TorsionLabel((1, 0), (1, 0))),
+)
 
 
-def four_copy_scan(
-    Z: PeriodMatrix, settings: EvalSettings = EvalSettings()
-) -> list[FourCopyRecord]:
+def four_copy_scan(scan: ScanResult) -> list[FourCopyRecord]:
+    """The four translates of the curve by the _COPY_SHIFTS points s, read
+    off a torsion scan with no evaluation: t_L + s is t_{L+s} plus a lattice
+    vector, and weighted values are lattice-invariant, so the translate's
+    value and kind at t_L are the scan's at t_{L+s}."""
+    by_label = {r.label: r for r in scan.records}
+
+    def plus(L: TorsionLabel, s: TorsionLabel) -> TorsionLabel:
+        return TorsionLabel((L.alpha[0] ^ s.alpha[0], L.alpha[1] ^ s.alpha[1]),
+                            (L.beta[0] ^ s.beta[0], L.beta[1] ^ s.beta[1]))
+
     out = []
-    for label, shift in four_copy_translates(Z):
-        scan = two_torsion_scan(Z, settings, shift=shift)
-        vanishing = frozenset(
-            r.label for r in scan.records if r.kind is not ScanKind.NON_VANISHING
-        )
-        out.append(
-            FourCopyRecord(
-                label, shift, vanishing, frozenset(scan.labels(ScanKind.EVEN_VANISHING))
-            )
-        )
+    for name, s in _COPY_SHIFTS:
+        moved = {L: by_label[plus(L, s)] for L in by_label}
+        out.append(FourCopyRecord(
+            name,
+            tuple(by_label[s].point),
+            frozenset(L for L, r in moved.items() if r.kind is not ScanKind.NON_VANISHING),
+            frozenset(L for L, r in moved.items() if r.kind is ScanKind.EVEN_VANISHING),
+            {L: r.abs_value for L, r in moved.items()},
+        ))
     return out
 
 

@@ -22,6 +22,7 @@ Klein subgroups inside every Z2^3.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from enum import Enum
@@ -240,36 +241,41 @@ class KleinCensus:
     non_isotropic: int
     hyperelliptic: int
     undetermined: int
-    groups: list[KleinSubgroup]
+    pairs: list[tuple[int, int]]  # each group's generator masks, in census order
+
+    @functools.cached_property
+    def groups(self) -> list[KleinSubgroup]:
+        """The groups in census order, built from `pairs` on first access."""
+        g = self.genus
+        return [KleinSubgroup(TwoTorsionClass(g, a), TwoTorsionClass(g, b)) for a, b in self.pairs]
 
 
 _ENUM_GENUS_CAP = 4
 
 
 def enumerate_klein(genus: int) -> KleinCensus:
-    """Census of all Klein subgroups, each built once; genus capped at 4."""
+    """Census of all Klein subgroups, each counted once; genus capped at 4."""
     if genus > _ENUM_GENUS_CAP:
         raise TooLarge(f"genus {genus} > {_ENUM_GENUS_CAP}: {4**genus} classes")
-    nz = nonzero_classes(genus)
-    masks = [c.mask for c in nz]
+    masks = [c.mask for c in nonzero_classes(genus)]
     rank = {m: i for i, m in enumerate(masks)}
     n = 2 * genus + 2
-    groups, kinds = [], []
+    pairs, kinds = [], []
     for i, a in enumerate(masks):
         for j, b in enumerate(masks[i + 1:], i + 1):
             # (a, b) is its group's first pair when a + b ranks after b
             if rank[a ^ b] > j:
-                groups.append(KleinSubgroup(nz[i], nz[j]))
+                pairs.append((a, b))
                 kinds.append(_cover_class(a, b, n))
     iso = kinds.count(CoverClass.NOT_HYPERELLIPTIC)
     return KleinCensus(
         genus=genus,
-        total=len(groups),
+        total=len(pairs),
         isotropic=iso,
-        non_isotropic=len(groups) - iso,
+        non_isotropic=len(pairs) - iso,
         hyperelliptic=kinds.count(CoverClass.HYPERELLIPTIC),
         undetermined=kinds.count(CoverClass.UNDETERMINED),
-        groups=groups,
+        pairs=pairs,
     )
 
 

@@ -1,5 +1,6 @@
 """End-to-end tests of the command line interface via main(argv)."""
 
+import dataclasses
 import json
 
 import numpy as np
@@ -148,8 +149,14 @@ def test_verify_surface_ill_conditioned_draw(capsys):
 
 
 def test_verify_surface_failing_check_exits_1(capsys, monkeypatch):
-    # force a threshold no real scan can meet to exercise the exit path
-    monkeypatch.setattr(cli, "SEPARATION_MIN", float("inf"))
+    # hand the CLI a scan whose worst predicted zero reads above its bound
+    real_scan = cli.two_torsion_scan
+
+    def scan_over_bound(Z, settings):
+        scan = real_scan(Z, settings)
+        return dataclasses.replace(scan, worst_zero=2 * scan.bound)
+
+    monkeypatch.setattr(cli, "two_torsion_scan", scan_over_bound)
     code, out, _ = run(capsys, ["verify-surface", "--random", "--seed", "2"])
     assert code == 1
     d = json.loads(out)

@@ -258,6 +258,23 @@ def test_validation_report_all_pass():
     assert len(report.checks) == 9
 
 
+def test_multiplicities_computed_once_per_answer(monkeypatch):
+    import thetalab.decomposition as decomposition
+
+    calls = []
+    real = decomposition.isotypic_multiplicities
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(decomposition, "isotypic_multiplicities", counting)
+    res = assemble_decomposition()
+    assert len(calls) == 1
+    assert validate_presentation(res).passed
+    assert len(calls) == 2
+
+
 def test_assemble_rejects_non_standard_dimension_pattern():
     # a free Z2^3 action on a genus-9 curve has multiplicities 4 on the
     # trivial character and 2 elsewhere; it does not fit the recorded

@@ -5,6 +5,8 @@ import cmath
 
 import numpy as np
 import pytest
+from hypothesis import given, settings as hsettings
+from hypothesis import strategies as st
 
 from thetalab import (
     DegenerateSample,
@@ -20,9 +22,20 @@ from thetalab import (
     minus_one_action,
     product_case_components,
     quasi_periodicity_check,
+    odd_theta,
+    odd_theta_with_gradient,
     random_period_matrix,
+    two_torsion_points,
     two_torsion_scan,
 )
+from thetalab import cli, surface, theta
+from thetalab.surface import canonical_weight
+from thetalab.theta import _points
+
+
+def parity_labels(Z):
+    """The labels with alpha1 * beta1 = 0, where the characteristic is odd."""
+    return {lab for lab, _ in two_torsion_points(Z) if lab.alpha[0] * lab.beta[0] == 0}
 
 
 # ---------------------------------------------------------------------------
@@ -59,6 +72,71 @@ def test_scan_deterministic(Z0, settings):
     assert [(r.label, r.kind) for r in a.records] == [
         (r.label, r.kind) for r in b.records
     ]
+
+
+def test_scan_near_cusp_follows_parity(settings):
+    # the relative thresholds this scan replaced gave 8 odd and 8 even here
+    Z = PeriodMatrix(0.1 + 40j, 0.05 + 3j, -0.2 + 30j)
+    scan = two_torsion_scan(Z, settings)
+    assert set(scan.labels(ScanKind.ODD_VANISHING)) == parity_labels(Z)
+    assert scan.worst_zero <= scan.bound
+    # the even constant (about 1.3e-15) is below the bound (about 2.0e-12)
+    # at this tolerance, so the other four read as even zeros; certifying
+    # it nonzero needs more precision than double
+    assert scan.counts() == {"OddVanishing": 12, "EvenVanishing": 4, "NonVanishing": 0}
+
+
+@st.composite
+def period_matrices(draw):
+    """A generic draw of random_period_matrix, or a diagonal Z."""
+    if draw(st.booleans()):
+        return random_period_matrix(np.random.default_rng(draw(st.integers(0, 2**32 - 1))))
+    taus = [complex(draw(st.floats(-0.5, 0.5)), draw(st.floats(0.8, 2.0))) for _ in range(2)]
+    return PeriodMatrix.diagonal(*taus)
+
+
+@hsettings(max_examples=30, deadline=None)
+@given(period_matrices())
+def test_scan_parity_rule_holds_numerically(Z):
+    # the scan labels by parity; here the numbers are checked against it:
+    # zeros at the 12 odd labels, simple there, and the other four nonzero
+    # exactly off the product locus
+    scan = two_torsion_scan(Z)
+    odd = [r for r in scan.records if r.label in parity_labels(Z)]
+    rest = [r for r in scan.records if r.label not in parity_labels(Z)]
+    assert all(r.kind is ScanKind.ODD_VANISHING and r.abs_value <= scan.bound for r in odd)
+    pts = _points([r.point for r in odd])
+    _, (g1, g2) = odd_theta_with_gradient(pts, Z)
+    assert (canonical_weight(Z, pts) * np.hypot(np.abs(g1), np.abs(g2)) > scan.bound).all()
+    if Z.is_diagonal():
+        assert all(r.kind is ScanKind.EVEN_VANISHING for r in rest)
+    else:
+        assert all(r.kind is ScanKind.NON_VANISHING and r.abs_value > scan.bound for r in rest)
+
+
+def test_scan_is_one_value_call_and_product_case_scans_once(Z0, settings, monkeypatch, capsys):
+    evaluations, scans = [], []
+    real_evaluate, real_scan = theta._evaluate, surface.two_torsion_scan
+
+    def counting_evaluate(chars, v, Z, settings, radius, grad_order):
+        evaluations.append((len(v), grad_order))
+        return real_evaluate(chars, v, Z, settings, radius, grad_order)
+
+    def counting_scan(*args, **kwargs):
+        scans.append(1)
+        return real_scan(*args, **kwargs)
+
+    monkeypatch.setattr(theta, "_evaluate", counting_evaluate)
+    scan = two_torsion_scan(Z0, settings)
+    assert evaluations == [(16, 0)]
+    four_copy_scan(scan)
+    assert evaluations == [(16, 0)]  # the translates are relabelled, not evaluated
+
+    monkeypatch.setattr(surface, "two_torsion_scan", counting_scan)
+    monkeypatch.setattr(cli, "two_torsion_scan", counting_scan)
+    assert cli.main(["product-case", "--tau1=0.1+1.1i", "--tau2=-0.2+0.9i"]) == 0
+    capsys.readouterr()
+    assert scans == [1]
 
 
 # ---------------------------------------------------------------------------
@@ -190,7 +268,7 @@ def test_product_case_rejects_generic_matrix(Z0, settings):
 
 
 def test_four_copies_generic(Z0, settings):
-    records = four_copy_scan(Z0, settings)
+    records = four_copy_scan(two_torsion_scan(Z0, settings))
     assert len(records) == 4
     summary = four_copy_summary(records)
     assert summary["pairwise_distinct"]
@@ -205,7 +283,7 @@ def test_four_copies_generic(Z0, settings):
 
 def test_four_copies_product_case(settings):
     Z = PeriodMatrix.diagonal(0.1 + 1.0j, -0.2 + 1.1j)
-    records = four_copy_scan(Z, settings)
+    records = four_copy_scan(two_torsion_scan(Z, settings))
     summary = four_copy_summary(records)
     assert summary["pairwise_distinct"]
     assert summary["union_count"] == 16
@@ -216,6 +294,18 @@ def test_four_copies_product_case(settings):
     assert len(set(even_sets)) == 4
     union_even = frozenset().union(*even_sets)
     assert len(union_even) == 16
+
+
+@pytest.mark.parametrize("which", ["Z0", "Zdiag"])
+def test_four_copies_match_direct_evaluation(which, request, settings):
+    Z = request.getfixturevalue(which)
+    scan = two_torsion_scan(Z, settings)
+    pts = _points([r.point for r in scan.records])
+    for rec in four_copy_scan(scan):
+        moved = pts + np.array(rec.shift)
+        direct = canonical_weight(Z, moved) * np.abs(odd_theta(moved, Z, settings))
+        got = np.array([rec.values[r.label] for r in scan.records])
+        assert np.abs(direct - got).max() <= scan.bound
 
 
 def test_product_case_moving_component_really_vanishes():

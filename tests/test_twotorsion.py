@@ -253,6 +253,15 @@ def test_klein_census_matches_echelon_dedupe(genus):
     assert got == first_by_echelon_key(genus, 2)
 
 
+def test_klein_census_builds_groups_on_first_access():
+    census = enumerate_klein(3)
+    assert "groups" not in vars(census)  # the counts alone build no group
+    nz = {c.mask: c for c in nonzero_classes(3)}
+    assert census.groups == [KleinSubgroup(nz[a], nz[b]) for a, b in census.pairs]
+    assert [(G.eta1, G.eta2) for G in census.groups] == [(nz[a], nz[b]) for a, b in census.pairs]
+    assert census.groups is census.groups
+
+
 def test_klein_census_genus4_count_matches_echelon_dedupe():
     assert enumerate_klein(4).total == len(first_by_echelon_key(4, 2)) == 10795
 
