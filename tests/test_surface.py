@@ -20,10 +20,10 @@ from thetalab import (
     four_copy_summary,
     half_periods,
     minus_one_action,
-    product_case_components,
-    quasi_periodicity_check,
     odd_theta,
     odd_theta_with_gradient,
+    product_case_components,
+    quasi_periodicity_check,
     random_period_matrix,
     two_torsion_points,
     two_torsion_scan,
@@ -101,9 +101,9 @@ def test_scan_parity_rule_holds_numerically(Z):
     # the scan labels by parity; here the numbers are checked against it:
     # zeros at the 12 odd labels, simple there, and the other four nonzero
     # exactly off the product locus
-    scan = two_torsion_scan(Z)
-    odd = [r for r in scan.records if r.label in parity_labels(Z)]
-    rest = [r for r in scan.records if r.label not in parity_labels(Z)]
+    scan, parity = two_torsion_scan(Z), parity_labels(Z)
+    odd = [r for r in scan.records if r.label in parity]
+    rest = [r for r in scan.records if r.label not in parity]
     assert all(r.kind is ScanKind.ODD_VANISHING and r.abs_value <= scan.bound for r in odd)
     pts = _points([r.point for r in odd])
     _, (g1, g2) = odd_theta_with_gradient(pts, Z)
