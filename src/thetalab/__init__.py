@@ -18,9 +18,7 @@ cli / report        command-line driver and report emitters
 
 from .errors import (
     Degenerate,
-    DegenerateSample,
     GenusMismatch,
-    IllConditioned,
     Inconsistent,
     NonIntegerGenus,
     NotDiagonal,
@@ -128,7 +126,3 @@ __version__ = "0.1.0"
 
 # convenience aliases matching the even-subset operation names
 class_from_pair = TwoTorsionClass.from_pair
-
-
-def class_add(a: TwoTorsionClass, b: TwoTorsionClass) -> TwoTorsionClass:
-    return a + b

@@ -31,6 +31,8 @@ from .siegel import (
 )
 from .surface import (
     ScanKind,
+    _value_bound,
+    canonical_weight,
     four_copy_scan,
     four_copy_summary,
     minus_one_action,
@@ -47,15 +49,6 @@ from .twotorsion import (
     enumerate_klein,
     orthogonal_complement,
 )
-
-# pass/fail thresholds used by the report checks
-ODDNESS_TOL = 1e-9
-W1_TOL = 1e-9
-W2_SPREAD_TOL = 1e-8
-AUTOMORPHY_TOL = 1e-8
-NEGATION_TOL = 1e-8
-COMPONENT_TOL = 1e-10
-CONTROL_RATIO = 1e-6
 
 DEFAULT_TOL = 1e-12
 
@@ -127,6 +120,12 @@ def _label_str(label) -> str:
     return f"a{label.alpha[0]}{label.alpha[1]}b{label.beta[0]}{label.beta[1]}"
 
 
+def _add_law(report: Report, name: str, residual: float, bound: float, detail: str = "") -> None:
+    """A check that a weighted residual is within its derived bound."""
+    report.add(name, residual <= bound, residual,
+               f"{detail} residual={residual:.3e} bound={bound:.3e}".lstrip())
+
+
 # ---------------------------------------------------------------------------
 # subcommands: each adds its checks and extras to the report main built
 
@@ -136,19 +135,16 @@ def cmd_verify_surface(args, report: Report) -> None:
     Z = _resolve_Z(args, rng)
     settings = EvalSettings(tol=report.tol)
 
+    # each parity law relates two values at v and -v, which share a weight
+    law_bound = 2.0 * _value_bound(Z, settings)
     chi1, chi3 = quarter_characteristic(1), quarter_characteristic(3)
     pts = _points([random_point(Z, rng) for _ in range(min(args.samples, 100))])
     n = len(pts)
     t = odd_theta(np.concatenate([pts, -pts]), Z, settings)
-    tv, tm = t[:n], t[n:]
     p1, p3 = theta_char(chi1, -pts, Z, settings), theta_char(chi3, pts, Z, settings)
-    scale = float(max(np.abs(tv).max(), np.abs(p3).max()))
-    denom = np.maximum(np.maximum(np.abs(tv), np.abs(tm)), 1e-8 * scale)
-    odd_res = float(np.max(np.abs(tv + tm) / denom))
-    denom = np.maximum(np.maximum(np.abs(p1), np.abs(p3)), 1e-8 * scale)
-    parity_res = float(np.max(np.abs(p1 - p3) / denom))
-    report.add("oddness", odd_res < ODDNESS_TOL, odd_res)
-    report.add("basis_parity", parity_res < ODDNESS_TOL, parity_res)
+    w = canonical_weight(Z, pts)
+    _add_law(report, "oddness", float(np.max(w * np.abs(t[:n] + t[n:]))), law_bound)
+    _add_law(report, "basis_parity", float(np.max(w * np.abs(p1 - p3))), law_bound)
 
     scan = two_torsion_scan(Z, settings)
     counts = scan.counts()
@@ -168,25 +164,19 @@ def cmd_verify_surface(args, report: Report) -> None:
     )
 
     qp = quasi_periodicity_check(Z, settings, n_samples=args.samples, seed=args.seed)
-    report.add("w1_antiperiodicity", qp.w1_max_residual < W1_TOL, qp.w1_max_residual)
+    _add_law(report, "w1_antiperiodicity", qp.w1_max_residual, qp.bound)
     M = qp.constants["w2"]
-    ok = M.spread / max(abs(M.value), 1e-300) < W2_SPREAD_TOL and abs(M.value) > 0
-    report.add(
-        "w2_translation_constant",
-        ok,
-        M.spread / max(abs(M.value), 1e-300),
-        f"M={format_complex(M.value)} admissible={M.n_admissible}",
-    )
-    report.add("lattice_automorphy", qp.automorphy_max_residual < AUTOMORPHY_TOL,
-               qp.automorphy_max_residual)
+    _add_law(report, "w2_translation_constant", M.spread, qp.bound,
+             f"M={format_complex(M.value)} samples={M.n_admissible}")
+    _add_law(report, "lattice_automorphy", qp.automorphy_max_residual, qp.bound)
 
     neg = minus_one_action(Z, settings, seed=args.seed + 1)
-    ok = neg.permutation_residual < NEGATION_TOL and neg.anti_invariant_dim == 1
     report.add(
         "minus_one_action",
-        ok,
+        neg.permutation_residual <= neg.bound and neg.anti_invariant_dim == 1,
         neg.permutation_residual,
-        f"invariant_dim={neg.invariant_dim} anti_invariant_dim={neg.anti_invariant_dim}",
+        f"invariant_dim={neg.invariant_dim} anti_invariant_dim={neg.anti_invariant_dim} "
+        f"residual={neg.permutation_residual:.3e} bound={neg.bound:.3e}",
     )
 
     report.extras = {
@@ -213,19 +203,15 @@ def cmd_product_case(args, report: Report) -> None:
     settings = EvalSettings(tol=report.tol)
 
     pc = product_case_components(Z, settings, n_samples=args.samples, seed=args.seed)
-    worst = max(c.max_abs for c in pc.components)
-    report.add(
-        "five_components_vanish",
-        worst < COMPONENT_TOL,
-        worst,
-        f"components={len(pc.components)}",
-    )
+    bound = pc.scan.bound
+    _add_law(report, "five_components_vanish", max(c.max_abs for c in pc.components), bound,
+             f"components={len(pc.components)}")
     ctrl = min(c.control_min_abs for c in pc.components)
     report.add(
         "negative_controls",
-        ctrl > CONTROL_RATIO * pc.generic_scale,
+        ctrl > bound,
         None,
-        f"min_control={ctrl:.3e} generic_scale={pc.generic_scale:.3e}",
+        f"min_control={ctrl:.3e} bound={bound:.3e} generic_scale={pc.generic_scale:.3e}",
     )
     counts = pc.scan.counts()
     ok = (

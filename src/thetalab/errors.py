@@ -15,15 +15,6 @@ class RadiusExceeded(ThetaLabError):
     the configured maximum."""
 
 
-class IllConditioned(ThetaLabError):
-    """A numerically fitted linear system was too ill-conditioned to trust."""
-
-
-class DegenerateSample(ThetaLabError):
-    """All sample points fell below the admissibility floor (e.g. too close
-    to the zero set for a ratio to be meaningful)."""
-
-
 class NotDiagonal(ThetaLabError):
     """Operation requires a diagonal period matrix."""
 

@@ -58,13 +58,6 @@ class PeriodMatrix:
             )
 
     @classmethod
-    def from_matrix(cls, M) -> "PeriodMatrix":
-        M = np.asarray(M, dtype=complex)
-        if M.shape != (2, 2):
-            raise NotSiegel(f"expected a 2x2 matrix, got shape {M.shape}")
-        return cls(complex(M[0, 0]), complex(M[0, 1]), complex(M[1, 1]))
-
-    @classmethod
     def diagonal(cls, tau1: complex, tau2: complex) -> "PeriodMatrix":
         return cls(complex(tau1), 0.0, complex(tau2))
 

@@ -2,31 +2,34 @@
 
 Operations here probe the zero divisor of the odd section through the 16
 two-torsion points, its quasi-periodicity under the half-periods
-w1 = (0, 2) and w2 = (z12/2, z22/2), the linearised (-1)-action on the
-four basis sections, the five-component splitting over a product of
-elliptic curves, and the four distinct translates of the curve cut out by
-order-2 points of the polarisation kernel.
+w1 = (0, 2) and w2 = (z12/2, z22/2), the (-1)-action on the four basis
+sections, the five-component splitting over a product of elliptic curves,
+and the four distinct translates of the curve cut out by order-2 points of
+the polarisation kernel.
 
-The torsion scan classifies by characteristic parity, not by tuned
-thresholds.  The curve is the pull-back of a genus-2 theta divisor under
-the isogeny A -> J, so theta_A at t = (Z alpha + D beta)/2 is a multiple
-of a genus-2 theta constant whose characteristic is odd exactly when
-alpha1 * beta1 = 0: those 12 points are simple zeros (an odd genus-2
-theta function has a nonzero gradient at 0).  The other four are
-multiples of one even theta constant, which vanishes exactly on the
-product locus (Mumford, Tata Lectures on Theta I-II).  Only that constant
-is decided numerically, against a bound derived from the truncation
-tolerance and the rounding of the sum.
+Nothing is fitted and no threshold is tuned.  The torsion scan classifies
+by characteristic parity: the curve is the pull-back of a genus-2 theta
+divisor under the isogeny A -> J, so theta_A at t = (Z alpha + D beta)/2
+is a multiple of a genus-2 theta constant whose characteristic is odd
+exactly when alpha1 * beta1 = 0; those 12 points are simple zeros, and the
+other four are multiples of one even theta constant, which vanishes
+exactly on the product locus.  Every other check compares evaluations with
+a transformation law in closed form (Mumford, Tata Lectures on Theta I,
+II.1).  Values are read canonically weighted (see canonical_weight), and
+each residual is compared with the bound _value_bound derives from the
+truncation tolerance and the rounding of the sums: one weighted value is
+off by at most that bound, so a law relating two values holds to twice it.
 """
 
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
 
-from .errors import DegenerateSample, IllConditioned, NotDiagonal
+from .errors import NotDiagonal
 from .siegel import (
     EvalSettings,
     PeriodMatrix,
@@ -52,6 +55,26 @@ def canonical_weight(Z: PeriodMatrix, v):
     return _unwrap(np.exp(-_gaussian_peak(Z, rows)[1]), single)
 
 
+def _value_bound(Z: PeriodMatrix, settings: EvalSettings) -> float:
+    """Bound on the error of one weighted theta_A value: 2 (tol + n^2 u).
+
+    Weighted theta_A is the difference of two sums taken relative to their
+    Gaussian peak, each term at most 1.  At the value radius R, with
+    n = (2R+1)^2 terms, each sum is off by less than tol (its tail) plus
+    n u sum|terms| <= n^2 u (rounding, u machine epsilon; Higham, Accuracy
+    and Stability of Numerical Algorithms, ch. 4).  A single weighted sum,
+    as theta_char and theta_basis return, is within half of this.
+
+    A law lhs = f rhs between two evaluations is read as the weighted
+    residual w(v') |lhs - f rhs|, v' the point of lhs.  The modulus of f is
+    exactly w(v) / w(v'), so the residual is off by at most the two values'
+    errors, twice this bound, plus the rounding of f: a few u, relative,
+    against a weighted value of at most n, which n^2 u dominates.
+    """
+    R = truncation_radius(Z.min_imag_eigenvalue(), 0.5, settings.tol, settings.max_radius)
+    return 2.0 * (settings.tol + (2 * R + 1) ** 4 * np.finfo(float).eps)
+
+
 class ScanKind(Enum):
     ODD_VANISHING = "OddVanishing"
     EVEN_VANISHING = "EvenVanishing"
@@ -74,13 +97,10 @@ class ScanResult:
 
     The 12 points with alpha1 * beta1 = 0 are OddVanishing by parity.
     Each of the four with alpha1 = beta1 = 1 is EvenVanishing when its
-    weighted |theta_A| is at most `bound`, and NonVanishing otherwise.
-    Weighted |theta_A| is the difference of two sums taken relative to
-    their Gaussian peak, each term at most 1, so with n = (2R+1)^2 terms
-    each sum is off by less than tol (its tail) plus n u sum|terms| <= n^2 u
-    (rounding, u machine epsilon; Higham, ch. 4): bound = 2 (tol + n^2 u).
-    `worst_zero` is the largest weighted value at a predicted zero; the
-    scan is consistent when it is at most `bound`.
+    weighted |theta_A| is at most `bound`, the error bound on one weighted
+    value (_value_bound), and NonVanishing otherwise.  `worst_zero` is the
+    largest weighted value at a predicted zero; the scan is consistent
+    when it is at most `bound`.
     """
 
     records: list[ScanRecord]
@@ -113,8 +133,7 @@ def two_torsion_scan(Z: PeriodMatrix, settings: EvalSettings = EvalSettings()) -
     torsion = two_torsion_points(Z)
     pts = _points([pt for _, pt in torsion])
     values = (canonical_weight(Z, pts) * np.abs(odd_theta(pts, Z, settings))).tolist()
-    R = truncation_radius(Z.min_imag_eigenvalue(), 0.5, settings.tol, settings.max_radius)
-    bound = 2.0 * (settings.tol + (2 * R + 1) ** 4 * np.finfo(float).eps)
+    bound = _value_bound(Z, settings)
     records = []
     for (label, pt), a in zip(torsion, values):
         if label.alpha[0] * label.beta[0] == 0:
@@ -138,8 +157,16 @@ def half_periods(Z: PeriodMatrix) -> dict[str, tuple[complex, complex]]:
     return {"w1": w1, "w2": w2, "w1+w2": (w1[0] + w2[0], w1[1] + w2[1])}
 
 
+def _translation_constant(Z: PeriodMatrix) -> complex:
+    """M(Z) = -exp(-pi i z22 / 4), the constant of the w2 translation law."""
+    return -cmath.exp(-1j * cmath.pi * Z.z22 / 4.0)
+
+
 @dataclass(frozen=True)
 class HalfPeriodConstant:
+    """One half-period law: its closed-form constant, the largest weighted
+    residual over the samples, and the number of samples."""
+
     value: complex
     spread: float
     n_admissible: int
@@ -150,8 +177,7 @@ class QuasiPeriodicityReport:
     w1_max_residual: float
     constants: dict[str, HalfPeriodConstant]
     automorphy_max_residual: float
-    scale: float
-    floor: float
+    bound: float
 
 
 def quasi_periodicity_check(
@@ -160,56 +186,38 @@ def quasi_periodicity_check(
     n_samples: int = 50,
     seed: int = 0,
 ) -> QuasiPeriodicityReport:
-    """Verify the translation behaviour of the odd section.
+    """Check the translation laws of the odd section at random points v.
 
-    (i)  theta_A(v + w1) = -theta_A(v), reported as a max relative residual.
-    (ii) exp(pi*i*v2) * theta_A(v + w2) / theta_A(v) is a constant M(Z);
-         the same compensated ratio for w1 + w2 gives -M(Z).  The plain
-         ratio is *not* constant: translation by w2 carries the canonical
-         factor exp(-pi*i*v2) times M(Z), so the check removes it first.
-    (iii) full lattice automorphy theta_A(v + Z m + D n) =
-         exp(-pi*i m^T Z m - 2*pi*i m^T v) theta_A(v) for m, n in {-1,0,1}^2.
+    (i)   theta_A(v + w1) = -theta_A(v);
+    (ii)  theta_A(v + w2) = M(Z) exp(-pi i v2) theta_A(v), with
+          M(Z) = -exp(-pi i z22 / 4), and theta_A(v + w1 + w2) =
+          -M(Z) exp(-pi i v2) theta_A(v);
+    (iii) theta_A(v + Z m + D n) = exp(-pi i m^T Z m - 2 pi i m . v)
+          theta_A(v) for m, n in {-1, 0, 1}^2, at the first (up to) three
+          samples.
 
-    Admissibility uses canonically weighted magnitudes (see
-    canonical_weight): a sample is skipped when its weighted |theta_A(v)|
-    falls below floor = 1e-8 * scale, where scale is the weighted maximum
-    over the samples.  Weighting makes the cut depend on distance to the
-    zero divisor rather than on where the sample sits relative to the
-    automorphy factor, which can swing raw magnitudes by many orders when
-    Im(Z) is far from isotropic.  DegenerateSample is raised if no sample
-    survives.
+    Each law lhs = f theta_A(v) is read at every sample as the weighted
+    residual w(v') |lhs - f theta_A(v)|, w = canonical_weight at the
+    translate v'; it holds when no residual exceeds `bound`, twice
+    _value_bound.  The constants carry the closed forms -1, M(Z) and -M(Z)
+    and their law's largest residual; w1_max_residual is the one of (i).
     """
     rng = np.random.default_rng(seed)
     samples = _points([random_point(Z, rng) for _ in range(n_samples)])
     periods = half_periods(Z)
     # the samples and their three translates in one call
-    vals = odd_theta(
-        np.concatenate([samples] + [samples + np.array(w) for w in periods.values()]),
-        Z, settings,
-    )
-    base, *translates = np.split(vals, 1 + len(periods))
-    shifted = dict(zip(periods, translates))
-    weights = canonical_weight(Z, samples)
-    scale = float(np.max(weights * np.abs(base)))
-    if scale == 0.0:
-        raise DegenerateSample("odd section vanished at every sample point")
-    floor = 1e-8 * scale
-
-    local = np.maximum(np.abs(base), np.abs(shifted["w1"]))
-    ok = weights * local >= floor
-    w1_res = float((np.abs(shifted["w1"] + base)[ok] / local[ok]).max(initial=0.0))
-
-    admissible = weights * np.abs(base) >= floor
-    constants: dict[str, HalfPeriodConstant] = {}
-    for name in ("w1", "w2", "w1+w2"):
-        ratios = shifted[name][admissible] / base[admissible]
-        if name != "w1":
-            ratios *= np.exp(1j * np.pi * samples[admissible, 1])
-        if not ratios.size:
-            raise DegenerateSample(f"no admissible samples for the {name} ratio")
-        mean = complex(ratios.mean())
-        spread = float(np.max(np.abs(ratios - mean)))
-        constants[name] = HalfPeriodConstant(mean, spread, int(ratios.size))
+    pts = np.concatenate([samples] + [samples + np.array(w) for w in periods.values()])
+    base, *shifted = np.split(odd_theta(pts, Z, settings), 1 + len(periods))
+    _, *weights = np.split(canonical_weight(Z, pts), 1 + len(periods))
+    M = _translation_constant(Z)
+    e = np.exp(-1j * np.pi * samples[:, 1])
+    predicted = {"w1": (-1.0 + 0.0j, -base), "w2": (M, M * e * base),
+                 "w1+w2": (-M, -M * e * base)}
+    constants = {}
+    for name, got, w in zip(periods, shifted, weights):
+        value, want = predicted[name]
+        constants[name] = HalfPeriodConstant(value, float(np.max(w * np.abs(got - want))),
+                                             n_samples)
 
     # automorphy at the first (up to) three samples v over lam = Z m + D n,
     # m and n in {-1, 0, 1}^2: all 9 x 9 points v + lam per sample in one call
@@ -223,14 +231,14 @@ def quasi_periodicity_check(
     factor = np.exp(-1j * np.pi * mZm - 2j * np.pi * (v @ unit.T))     # (v, m)
     want = factor[:, :, None] * base[:3, None, None]
     ws = canonical_weight(Z, vs).reshape(got.shape)
-    local = np.maximum(np.maximum(ws * np.abs(got), ws * np.abs(want)), floor)
-    auto_res = float(np.max(ws * np.abs(got - want) / local))
+    auto_res = float(np.max(ws * np.abs(got - want)))
 
-    return QuasiPeriodicityReport(w1_res, constants, auto_res, scale, floor)
+    return QuasiPeriodicityReport(constants["w1"].spread, constants, auto_res,
+                                  2.0 * _value_bound(Z, settings))
 
 
 # ---------------------------------------------------------------------------
-# the linearised (-1)-action
+# the (-1)-action
 
 
 # theta_0 and theta_2 are even; theta_1 and theta_3 swap under v -> -v
@@ -246,12 +254,10 @@ NEGATION_PERMUTATION = np.array(
 
 @dataclass
 class NegationReport:
-    matrix: np.ndarray
     permutation_residual: float
-    eigenvalues: np.ndarray
     invariant_dim: int
     anti_invariant_dim: int
-    condition: float
+    bound: float
 
 
 def minus_one_action(
@@ -260,36 +266,27 @@ def minus_one_action(
     n_points: int = 12,
     seed: int = 0,
 ) -> NegationReport:
-    """Fit the matrix of v -> -v on the four basis sections from samples.
+    """Check the (-1)-action on the four basis sections at random points v.
 
-    Solves theta_k(-v_j) = sum_l M[k, l] theta_l(v_j) in least squares over
-    n_points random points and compares with the exact permutation
-    (0)(2)(1 3).  Row j of both sample matrices is scaled by
-    canonical_weight(Z, v_j), which is the same at v_j and -v_j, so the
-    exact solution is unchanged while rows drawn at large Im v no longer
-    swamp the rest.  Raises IllConditioned when the weighted sample matrix
-    has condition number above 1e8.
+    The law is theta_k(-v) = theta_sigma(k)(v), sigma = (0)(2)(1 3), whose
+    matrix is P = NEGATION_PERMUTATION.  It is read as the weighted residual
+    w(v) |theta(-v) - P theta(v)|, w = canonical_weight (the same at v and
+    -v), and holds when permutation_residual, the largest over the points
+    and sections, is at most `bound`, twice _value_bound.  P is an
+    involution, so its invariant and anti-invariant dimensions follow from
+    its trace: 3 and 1.
     """
     rng = np.random.default_rng(seed)
     pts = _points([random_point(Z, rng) for _ in range(n_points)])
-    w = canonical_weight(Z, pts)[:, None]
     B = theta_basis(np.concatenate([pts, -pts]), Z, settings)  # 2n x 4
-    B_pos, B_neg = w * B[:n_points], w * B[n_points:]
-    cond = float(np.linalg.cond(B_pos))
-    if cond > 1e8:
-        raise IllConditioned(f"sample matrix condition number {cond:.3g}")
-    M, *_ = np.linalg.lstsq(B_pos, B_neg, rcond=None)
-    M = M.T  # rows: output sections
-    eig = np.linalg.eigvals(M)
-    order = np.argsort(eig.real)
-    eig = eig[order]
+    P = NEGATION_PERMUTATION
+    residual = canonical_weight(Z, pts)[:, None] * np.abs(B[n_points:] - B[:n_points] @ P.T)
+    trace = round(float(np.trace(P)))
     return NegationReport(
-        matrix=M,
-        permutation_residual=float(np.max(np.abs(M - NEGATION_PERMUTATION))),
-        eigenvalues=eig,
-        invariant_dim=int(np.sum(np.abs(eig - 1.0) < 0.1)),
-        anti_invariant_dim=int(np.sum(np.abs(eig + 1.0) < 0.1)),
-        condition=cond,
+        permutation_residual=float(np.max(residual)),
+        invariant_dim=(len(P) + trace) // 2,
+        anti_invariant_dim=(len(P) - trace) // 2,
+        bound=2.0 * _value_bound(Z, settings),
     )
 
 
@@ -297,12 +294,21 @@ def minus_one_action(
 # product locus
 
 
+# the four horizontal components v2 = a + b tau2 of the curve over a product
+_HORIZONTALS = (
+    ("v2=0", 0.0, 0.0),
+    ("v2=2", 2.0, 0.0),
+    ("v2=tau2/2", 0.0, 0.5),
+    ("v2=2+tau2/2", 2.0, 0.5),
+)
+
+
 @dataclass(frozen=True)
 class ComponentRecord:
     label: str
     description: str
     n_samples: int
-    max_abs: float          # |theta_A| along the component
+    max_abs: float          # weighted |theta_A| along the component
     control_min_abs: float  # same parameters, displaced off the component
 
 
@@ -329,39 +335,36 @@ def product_case_components(
 ) -> ProductCaseReport:
     """Certify the five-component splitting of the curve over a product.
 
-    For diagonal Z = diag(tau1, tau2) the odd section vanishes on one
-    moving fibre v1 = (1 + tau1)/2 and the four horizontal components
-    v2 in {0, 2, tau2/2, 2 + tau2/2}.  Each component is sampled at
-    n_samples points; a displaced copy (shifted off the component) serves
-    as negative control.  The torsion scan records the 12 simple points
-    and the 4 nodes.  Raises NotDiagonal for non-diagonal Z.
+    For diagonal Z = diag(tau1, tau2), theta_A(v) is theta[0; 0](v1; tau1)
+    times (theta[3/4; 0] - theta[1/4; 0])(v2; tau2), so it vanishes on one
+    moving fibre v1 = (1 + tau1)/2 and on the four horizontal components
+    v2 in {0, 2, tau2/2, 2 + tau2/2} (_HORIZONTALS).  Each component is
+    sampled at n_samples points, with a displaced copy as negative control,
+    and 20 generic points give generic_scale.  Every value is weighted
+    (canonical_weight): a component vanishes when its max_abs is at most
+    scan.bound (_value_bound), and its control is nonzero when its
+    control_min_abs is above it.  The torsion scan records the 12 simple
+    points and the 4 nodes.  Raises NotDiagonal for non-diagonal Z.
     """
     if not Z.is_diagonal():
         raise NotDiagonal(f"z12 = {Z.z12} is nonzero")
     tau1, tau2 = Z.z11, Z.z22
     rng = np.random.default_rng(seed)
 
-    fibre_v1 = 0.5 + tau1 / 2.0
-    horizontals = [
-        ("v2=0", 0.0 + 0.0j),
-        ("v2=2", 2.0 + 0.0j),
-        ("v2=tau2/2", tau2 / 2.0),
-        ("v2=2+tau2/2", 2.0 + tau2 / 2.0),
-    ]
-
     # each component's points and their displaced controls, then 20
     # generic points, all in one call; rng draws keep their order
     n = n_samples
     s, t = rng.uniform(0.0, 1.0, size=(n, 2)).T
-    moving = np.column_stack([np.full(n, fibre_v1), s * tau2 + 4.0 * t])
+    moving = np.column_stack([np.full(n, 0.5 + tau1 / 2.0), s * tau2 + 4.0 * t])
     sets = [("moving", "v1 = (1+tau1)/2", moving, moving + (0.27, 0.0))]
-    for label, v2star in horizontals:
+    for label, a, b in _HORIZONTALS:
+        v2star = a + b * tau2
         s, t = rng.uniform(0.0, 1.0, size=(n, 2)).T
         on = np.column_stack([s * tau1 + t, np.full(n, v2star)])
         sets.append((label, f"v2 = {v2star}", on, on + (0.0, 0.31)))
     generic = _points([random_point(Z, rng) for _ in range(20)])
-    blocks = [b for _, _, on, ctrl in sets for b in (on, ctrl)]
-    vals = np.abs(odd_theta(np.concatenate(blocks + [generic]), Z, settings))
+    pts = np.concatenate([b for _, _, on, ctrl in sets for b in (on, ctrl)] + [generic])
+    vals = canonical_weight(Z, pts) * np.abs(odd_theta(pts, Z, settings))
     on_ctrl = vals[:-len(generic)].reshape(len(sets), 2, n)
     components = [
         ComponentRecord(label, desc, n, float(on.max()), float(ctrl.min()))

@@ -6,7 +6,7 @@ import json
 import numpy as np
 import pytest
 
-from thetalab import cli
+from thetalab import cli, surface, theta
 from thetalab.cli import format_complex, load_period_matrix, main, parse_complex
 from thetalab.trace import MIRROR_DISAGREES, TraceFailure, TraceResult
 
@@ -15,6 +15,11 @@ def run(capsys, argv):
     code = main(argv)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def statuses(out):
+    """Each check's status in a JSON report, by name."""
+    return {c["name"]: c["status"] for c in json.loads(out)["checks"]}
 
 
 def json_body(out):
@@ -139,13 +144,46 @@ def test_verify_surface_rejects_nan_period_matrix(capsys, tmp_path):
     assert "NotSiegel" in err
 
 
-def test_verify_surface_ill_conditioned_draw(capsys):
-    # draw 23 has sample points at large Im v; the unweighted (-1)-action
-    # fit had condition number 7.4e10 there and exited 2
-    code, out, _ = run(capsys, ["verify-surface", "--random", "--seed", "23"])
+@pytest.mark.parametrize("seed", [23, 82, 106, 107, 135, 155, 158, 174])
+def test_verify_surface_ill_conditioned_draw(capsys, seed):
+    # draws with sample points at large Im v, where a least-squares fit of
+    # the (-1)-action is ill-conditioned; the pointwise residual is not
+    code, out, _ = run(capsys, ["verify-surface", "--random", "--seed", str(seed)])
     assert code == 0
-    by_name = {c["name"]: c for c in json.loads(out)["checks"]}
-    assert by_name["minus_one_action"]["status"] == "pass"
+    assert statuses(out)["minus_one_action"] == "pass"
+
+
+def test_verify_surface_fails_a_wrong_translation_constant(capsys, monkeypatch):
+    real = surface._translation_constant
+    monkeypatch.setattr(surface, "_translation_constant", lambda Z: -real(Z))
+    code, out, _ = run(capsys, ["verify-surface", "--random", "--seed", "7"])
+    assert code == 1
+    assert statuses(out)["w2_translation_constant"] == "fail"
+
+
+def test_verify_surface_fails_a_wrong_negation_permutation(capsys, monkeypatch):
+    # sigma swapping theta_0 and theta_2, which are both even
+    wrong = surface.NEGATION_PERMUTATION[[2, 1, 0, 3]]
+    monkeypatch.setattr(surface, "NEGATION_PERMUTATION", wrong)
+    code, out, _ = run(capsys, ["verify-surface", "--random", "--seed", "7"])
+    assert code == 1
+    assert statuses(out)["minus_one_action"] == "fail"
+
+
+def test_evaluator_calls_per_answer(capsys, monkeypatch):
+    rows = []
+    real_evaluate = theta._evaluate
+
+    def counting_evaluate(chars, v, *args):
+        rows.append(len(v))
+        return real_evaluate(chars, v, *args)
+
+    monkeypatch.setattr(theta, "_evaluate", counting_evaluate)
+    assert run(capsys, ["verify-surface", "--random", "--seed", "7"])[0] == 0
+    assert rows == [100, 50, 50, 16, 200, 243, 24]
+    rows.clear()
+    assert run(capsys, ["product-case", "--tau1=0.1+1.1i", "--tau2=-0.2+0.9i"])[0] == 0
+    assert rows == [520, 16]
 
 
 def test_verify_surface_failing_check_exits_1(capsys, monkeypatch):
@@ -188,6 +226,25 @@ def test_product_case_rejects_non_siegel(capsys):
     code, _, err = run(capsys, ["product-case", "--tau1", "1-1i", "--tau2", "0+1i"])
     assert code == 2
     assert "error:" in err
+
+
+@pytest.mark.parametrize("tau1, tau2", [("0.1+5i", "0.2+0.9i"), ("0.1+1.1i", "0.2+8i"),
+                                        ("0.1+3i", "0.2+3i")])
+def test_product_case_with_a_large_imaginary_part(capsys, tau1, tau2):
+    # raw values on and off the components grow with Im tau; weighted, each
+    # reads against the derived bound
+    code, out, _ = run(capsys, ["product-case", f"--tau1={tau1}", f"--tau2={tau2}"])
+    assert code == 0
+    assert set(statuses(out).values()) == {"pass"}
+
+
+def test_product_case_fails_a_moved_component(capsys, monkeypatch):
+    # v2 = 0 moved by a quarter of its period 4
+    moved = (("v2=0", 1.0, 0.0),) + surface._HORIZONTALS[1:]
+    monkeypatch.setattr(surface, "_HORIZONTALS", moved)
+    code, out, _ = run(capsys, ["product-case", "--tau1=0.1+1.1i", "--tau2=-0.2+0.9i"])
+    assert code == 1
+    assert statuses(out)["five_components_vanish"] == "fail"
 
 
 # ---------------------------------------------------------------------------

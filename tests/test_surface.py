@@ -2,19 +2,21 @@
 the product locus, and the four translated copies of the zero curve."""
 
 import cmath
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings as hsettings
 from hypothesis import strategies as st
+from mpmath import mp, mpc
 
 from thetalab import (
-    DegenerateSample,
     EvalSettings,
     NEGATION_PERMUTATION,
     NotDiagonal,
     PeriodMatrix,
     ScanKind,
+    ThetaCharacteristic,
     TorsionLabel,
     four_copy_scan,
     four_copy_summary,
@@ -25,6 +27,8 @@ from thetalab import (
     product_case_components,
     quasi_periodicity_check,
     random_period_matrix,
+    random_point,
+    theta_char,
     two_torsion_points,
     two_torsion_scan,
 )
@@ -36,6 +40,52 @@ from thetalab.theta import _points
 def parity_labels(Z):
     """The labels with alpha1 * beta1 = 0, where the characteristic is odd."""
     return {lab for lab, _ in two_torsion_points(Z) if lab.alpha[0] * lab.beta[0] == 0}
+
+
+# ---------------------------------------------------------------------------
+# the genus-2 theta function behind the scan
+
+# theta_A(v1, v2; Z) = i theta[(0, 1/2); (0, 1/2)](v1, v2/2; Z_H), with
+# Z_H = [[z11, z12/2], [z12/2, z22/4]]: the curve is the pull-back of the
+# genus-2 theta divisor, which the scan's parity rule rests on
+HALF_ODD = ThetaCharacteristic((0, Fraction(1, 2)), (0, Fraction(1, 2)))
+GENUS_TWO_CASES = {
+    "diagonal": PeriodMatrix.diagonal(0.3 + 1.1j, -0.1 + 0.9j),
+    "near_cusp": PeriodMatrix(0.1 + 40j, 0.05 + 3j, -0.2 + 30j),
+    "correlated": PeriodMatrix(0.2 + 1.5j, -0.1 + 1.2j, 0.3 + 1.5j),
+}
+
+
+def mp_theta(chi, v, Z, radius=12):
+    """theta[c1; c2](v, Z) as a direct sum in mpmath over the box |l| <= radius."""
+    (a1, a2), (b1, b2) = chi.c1_floats(), chi.c2_floats()
+    with mp.workdps(30):
+        z11, z12, z22 = (mpc(z) for z in (Z.z11, Z.z12, Z.z22))
+        v1, v2 = mpc(complex(v[0])) + b1, mpc(complex(v[1])) + b2
+        total = mpc(0)
+        for m1 in range(-radius, radius + 1):
+            for m2 in range(-radius, radius + 1):
+                l1, l2 = m1 + a1, m2 + a2
+                quad = l1 * l1 * z11 + 2 * l1 * l2 * z12 + l2 * l2 * z22
+                total += mp.exp(1j * mp.pi * quad + 2j * mp.pi * (l1 * v1 + l2 * v2))
+    return complex(total)
+
+
+@pytest.mark.parametrize("case", GENUS_TWO_CASES)
+def test_odd_section_is_a_genus_two_theta_function(case, settings):
+    Z = GENUS_TWO_CASES[case]
+    ZH = PeriodMatrix(Z.z11, Z.z12 / 2, Z.z22 / 4)
+    rng = np.random.default_rng(5)
+    pts = _points([random_point(Z, rng) for _ in range(10)])
+    halved = pts * (1.0, 0.5)
+    got = odd_theta(pts, Z, settings)
+    # (v1, v2/2) has the same canonical weight at Z_H as v at Z; theta_A is
+    # within one value bound, and a single sum at Z_H within half of its own
+    w = canonical_weight(Z, pts)
+    bound = surface._value_bound(Z, settings) + surface._value_bound(ZH, settings)
+    assert np.max(w * np.abs(got - 1j * theta_char(HALF_ODD, halved, ZH, settings))) <= bound
+    want = 1j * mp_theta(HALF_ODD, halved[0], ZH)
+    assert w[0] * abs(got[0] - want) <= surface._value_bound(Z, settings)
 
 
 # ---------------------------------------------------------------------------
@@ -204,15 +254,9 @@ def test_half_periods_shape(Z0):
 
 def test_minus_one_action_is_the_expected_permutation(Z0, settings):
     rep = minus_one_action(Z0, settings)
-    assert rep.permutation_residual < 1e-8
+    assert rep.permutation_residual <= rep.bound
     assert rep.invariant_dim == 3
     assert rep.anti_invariant_dim == 1
-    assert np.allclose(rep.matrix, NEGATION_PERMUTATION, atol=1e-8)
-
-
-def test_minus_one_action_squares_to_identity(Z0, settings):
-    rep = minus_one_action(Z0, settings)
-    assert np.allclose(rep.matrix @ rep.matrix, np.eye(4), atol=1e-7)
 
 
 def test_negation_permutation_is_involutive_and_orthogonal():
@@ -317,12 +361,3 @@ def test_product_case_moving_component_really_vanishes():
     vals = [abs(odd_theta(SurfacePoint(v1, 0.3 + 0.2j * k), Z)) for k in range(5)]
     assert max(vals) < 1e-12
 
-
-def test_degenerate_sample_guard(Z0, settings, monkeypatch):
-    # the guard fires when the section evaluates to zero at every sample
-    import thetalab.surface as surface
-
-    # the stub answers a batched call with zeros shaped like its points
-    monkeypatch.setattr(surface, "odd_theta", lambda v, *a, **k: np.zeros(len(v), complex))
-    with pytest.raises(DegenerateSample):
-        quasi_periodicity_check(Z0, settings, n_samples=5)
