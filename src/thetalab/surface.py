@@ -18,7 +18,8 @@ a transformation law in closed form (Mumford, Tata Lectures on Theta I,
 II.1).  Values are read canonically weighted (see canonical_weight), and
 each residual is compared with the bound _value_bound derives from the
 truncation tolerance and the rounding of the sums: one weighted value is
-off by at most that bound, so a law relating two values holds to twice it.
+off by at most that bound, so a law relating two values holds to twice it,
+law_bound.
 """
 
 from __future__ import annotations
@@ -73,6 +74,12 @@ def _value_bound(Z: PeriodMatrix, settings: EvalSettings) -> float:
     """
     R = truncation_radius(Z.min_imag_eigenvalue(), 0.5, settings.tol, settings.max_radius)
     return 2.0 * (settings.tol + (2 * R + 1) ** 4 * np.finfo(float).eps)
+
+
+def law_bound(Z: PeriodMatrix, settings: EvalSettings) -> float:
+    """Bound on the weighted residual of a law between two evaluations:
+    twice _value_bound (see its docstring for the rounding of the factor)."""
+    return 2.0 * _value_bound(Z, settings)
 
 
 class ScanKind(Enum):
@@ -198,9 +205,9 @@ def quasi_periodicity_check(
 
     Each law lhs = f theta_A(v) is read at every sample as the weighted
     residual w(v') |lhs - f theta_A(v)|, w = canonical_weight at the
-    translate v'; it holds when no residual exceeds `bound`, twice
-    _value_bound.  The constants carry the closed forms -1, M(Z) and -M(Z)
-    and their law's largest residual; w1_max_residual is the one of (i).
+    translate v'; it holds when no residual exceeds `bound`, law_bound.
+    The constants carry the closed forms -1, M(Z) and -M(Z) and their
+    law's largest residual; w1_max_residual is the one of (i).
     """
     rng = np.random.default_rng(seed)
     samples = _points([random_point(Z, rng) for _ in range(n_samples)])
@@ -234,7 +241,7 @@ def quasi_periodicity_check(
     auto_res = float(np.max(ws * np.abs(got - want)))
 
     return QuasiPeriodicityReport(constants["w1"].spread, constants, auto_res,
-                                  2.0 * _value_bound(Z, settings))
+                                  law_bound(Z, settings))
 
 
 # ---------------------------------------------------------------------------
@@ -272,7 +279,7 @@ def minus_one_action(
     matrix is P = NEGATION_PERMUTATION.  It is read as the weighted residual
     w(v) |theta(-v) - P theta(v)|, w = canonical_weight (the same at v and
     -v), and holds when permutation_residual, the largest over the points
-    and sections, is at most `bound`, twice _value_bound.  P is an
+    and sections, is at most `bound`, law_bound.  P is an
     involution, so its invariant and anti-invariant dimensions follow from
     its trace: 3 and 1.
     """
@@ -286,7 +293,7 @@ def minus_one_action(
         permutation_residual=float(np.max(residual)),
         invariant_dim=(len(P) + trace) // 2,
         anti_invariant_dim=(len(P) - trace) // 2,
-        bound=2.0 * _value_bound(Z, settings),
+        bound=law_bound(Z, settings),
     )
 
 

@@ -101,6 +101,7 @@ def test_verify_surface_random(capsys):
         "two_torsion_scan",
         "w1_antiperiodicity",
         "w2_translation_constant",
+        "w1_plus_w2_translation_constant",
         "lattice_automorphy",
         "minus_one_action",
     ]
@@ -159,12 +160,13 @@ def test_verify_surface_fails_a_wrong_translation_constant(capsys, monkeypatch):
     code, out, _ = run(capsys, ["verify-surface", "--random", "--seed", "7"])
     assert code == 1
     assert statuses(out)["w2_translation_constant"] == "fail"
+    assert statuses(out)["w1_plus_w2_translation_constant"] == "fail"
 
 
 def test_verify_surface_fails_a_wrong_negation_permutation(capsys, monkeypatch):
-    # sigma swapping theta_0 and theta_2, which are both even
-    wrong = surface.NEGATION_PERMUTATION[[2, 1, 0, 3]]
-    monkeypatch.setattr(surface, "NEGATION_PERMUTATION", wrong)
+    # sigma = (0 2)(1)(3), swapping theta_0 and theta_2 and fixing theta_1
+    # and theta_3: its trace is the true sigma's, so the dims are 3 and 1
+    monkeypatch.setattr(surface, "NEGATION_PERMUTATION", np.eye(4)[[2, 1, 0, 3]])
     code, out, _ = run(capsys, ["verify-surface", "--random", "--seed", "7"])
     assert code == 1
     assert statuses(out)["minus_one_action"] == "fail"
