@@ -31,7 +31,6 @@ from .siegel import (
 )
 from .surface import (
     ScanKind,
-    canonical_weight,
     four_copy_scan,
     four_copy_summary,
     law_bound,
@@ -40,7 +39,8 @@ from .surface import (
     quasi_periodicity_check,
     two_torsion_scan,
 )
-from .theta import _points, kernel_backend, odd_theta, quarter_characteristic, theta_char
+from .theta import _characteristics, _points, _weighted_odd, _weighted_sums, kernel_backend
+from .theta import quarter_characteristic
 from .trace import MIRROR_DISAGREES, trace_curve
 from .twotorsion import (
     KleinSubgroup,
@@ -135,16 +135,15 @@ def cmd_verify_surface(args, report: Report) -> None:
     Z = _resolve_Z(args, rng)
     settings = EvalSettings(tol=report.tol)
 
-    # each parity law relates two values at v and -v, which share a weight
+    # v and -v share a weight, so each parity law's factor stays +-1
     bound = law_bound(Z, settings)
-    chi1, chi3 = quarter_characteristic(1), quarter_characteristic(3)
     pts = _points([random_point(Z, rng) for _ in range(min(args.samples, 100))])
     n = len(pts)
-    t = odd_theta(np.concatenate([pts, -pts]), Z, settings)
-    p1, p3 = theta_char(chi1, -pts, Z, settings), theta_char(chi3, pts, Z, settings)
-    w = canonical_weight(Z, pts)
-    _add_law(report, "oddness", float(np.max(w * np.abs(t[:n] + t[n:]))), bound)
-    _add_law(report, "basis_parity", float(np.max(w * np.abs(p1 - p3))), bound)
+    t = _weighted_odd(np.concatenate([pts, -pts]), Z, settings)
+    (p1,) = _weighted_sums(_characteristics(quarter_characteristic(1)), -pts, Z, settings)
+    (p3,) = _weighted_sums(_characteristics(quarter_characteristic(3)), pts, Z, settings)
+    _add_law(report, "oddness", float(np.max(np.abs(t[:n] + t[n:]))), bound)
+    _add_law(report, "basis_parity", float(np.max(np.abs(p1 - p3))), bound)
 
     scan = two_torsion_scan(Z, settings)
     counts = scan.counts()

@@ -52,7 +52,7 @@ class PeriodMatrix:
         if not all(cmath.isfinite(z) for z in (self.z11, self.z12, self.z22)):
             raise NotSiegel(f"non-finite entry in {(self.z11, self.z12, self.z22)}")
         y11, y12, y22 = self.z11.imag, self.z12.imag, self.z22.imag
-        if not (y11 > 0 and y11 * y22 - y12 * y12 > 0):
+        if not (y11 > 0 and y22 > 0 and abs(y12) < math.sqrt(y11) * math.sqrt(y22)):
             raise NotSiegel(
                 f"imaginary part {[[y11, y12], [y12, y22]]} is not positive definite"
             )
@@ -70,9 +70,13 @@ class PeriodMatrix:
         )
 
     def min_imag_eigenvalue(self) -> float:
-        y11, y12, y22 = self.z11.imag, self.z12.imag, self.z22.imag
-        tr, dt = y11 + y22, y11 * y22 - y12 * y12
-        return 0.5 * (tr - math.sqrt(max(tr * tr - 4.0 * dt, 0.0)))
+        """det / lambda_max of Im Z scaled to its largest diagonal entry: no
+        difference of eigenvalues cancels and no product overflows."""
+        s = max(self.z11.imag, self.z22.imag)
+        y11, y12, y22 = self.z11.imag / s, abs(self.z12.imag) / s, self.z22.imag / s
+        p = math.sqrt(y11) * math.sqrt(y22)
+        lam_max = 0.5 * (y11 + y22) + math.hypot(0.5 * (y11 - y22), y12)
+        return (p - y12) * (p + y12) / lam_max * s
 
     def is_diagonal(self, atol: float = 0.0) -> bool:
         return abs(self.z12) <= atol

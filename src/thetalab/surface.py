@@ -39,8 +39,8 @@ from .siegel import (
     random_point,
     two_torsion_points,
 )
-from .theta import _gaussian_peak, _points, _rows, _unwrap, truncation_radius
-from .theta import odd_theta, theta_basis
+from .theta import _BASIS, _gaussian_peak, _points, _rows, _unwrap, truncation_radius
+from .theta import _weighted_odd, _weighted_sums
 
 
 def canonical_weight(Z: PeriodMatrix, v):
@@ -48,9 +48,9 @@ def canonical_weight(Z: PeriodMatrix, v):
 
     Multiplying |theta| by it gives a magnitude invariant under lattice
     translations (the automorphy factor has modulus exactly the ratio of
-    the weights), so values at different torsion points become comparable
-    even when Im(Z) is strongly anisotropic.  A float for a point, an (n,)
-    array for an (n, 2) array of points.
+    the weights).  The evaluator core returns weighted values, so this is
+    only their oracle.  A float for a point, an (n,) array for an (n, 2)
+    array of points.
     """
     rows, single = _rows(v)
     return _unwrap(np.exp(-_gaussian_peak(Z, rows)[1]), single)
@@ -66,11 +66,11 @@ def _value_bound(Z: PeriodMatrix, settings: EvalSettings) -> float:
     and Stability of Numerical Algorithms, ch. 4).  A single weighted sum,
     as theta_char and theta_basis return, is within half of this.
 
-    A law lhs = f rhs between two evaluations is read as the weighted
-    residual w(v') |lhs - f rhs|, v' the point of lhs.  The modulus of f is
-    exactly w(v) / w(v'), so the residual is off by at most the two values'
-    errors, twice this bound, plus the rounding of f: a few u, relative,
-    against a weighted value of at most n, which n^2 u dominates.
+    A law lhs = f rhs between two evaluations, v' the point of lhs, reads
+    w(v') lhs = (f / |f|) w(v) rhs, since |f| = w(v) / w(v') exactly.  Its
+    residual is off by at most the two values' errors, twice this bound,
+    plus the rounding of f / |f|: a few u, relative, against a weighted
+    value of at most n, which n^2 u dominates.
     """
     R = truncation_radius(Z.min_imag_eigenvalue(), 0.5, settings.tol, settings.max_radius)
     return 2.0 * (settings.tol + (2 * R + 1) ** 4 * np.finfo(float).eps)
@@ -135,11 +135,11 @@ class ScanResult:
 
 def two_torsion_scan(Z: PeriodMatrix, settings: EvalSettings = EvalSettings()) -> ScanResult:
     """Classify the 16 two-torsion points by parity (alpha1 * beta1 = 0 is
-    odd) and read the values, weighted, from one value-only odd_theta call
-    at the radius R it picks; see ScanResult for the bound."""
+    odd) and read the weighted values from one value-only evaluation at the
+    radius R it picks; see ScanResult for the bound."""
     torsion = two_torsion_points(Z)
     pts = _points([pt for _, pt in torsion])
-    values = (canonical_weight(Z, pts) * np.abs(odd_theta(pts, Z, settings))).tolist()
+    values = np.abs(_weighted_odd(pts, Z, settings)).tolist()
     bound = _value_bound(Z, settings)
     records = []
     for (label, pt), a in zip(torsion, values):
@@ -203,9 +203,11 @@ def quasi_periodicity_check(
           theta_A(v) for m, n in {-1, 0, 1}^2, at the first (up to) three
           samples.
 
-    Each law lhs = f theta_A(v) is read at every sample as the weighted
-    residual w(v') |lhs - f theta_A(v)|, w = canonical_weight at the
-    translate v'; it holds when no residual exceeds `bound`, law_bound.
+    On weighted values each factor becomes its phase: -1 for (i),
+    (M / |M|) exp(-pi i Re v2) and its negative for (ii), and
+    exp(-pi i (m^T X m + 2 m . Re v)), X = Re Z, for (iii).  Each law is
+    read at every sample as the residual |lhs - phase theta_A(v)| between
+    weighted values; it holds when no residual exceeds `bound`, law_bound.
     The constants carry the closed forms -1, M(Z) and -M(Z) and their
     law's largest residual; w1_max_residual is the one of (i).
     """
@@ -214,17 +216,12 @@ def quasi_periodicity_check(
     periods = half_periods(Z)
     # the samples and their three translates in one call
     pts = np.concatenate([samples] + [samples + np.array(w) for w in periods.values()])
-    base, *shifted = np.split(odd_theta(pts, Z, settings), 1 + len(periods))
-    _, *weights = np.split(canonical_weight(Z, pts), 1 + len(periods))
+    base, *shifted = np.split(_weighted_odd(pts, Z, settings), 1 + len(periods))
     M = _translation_constant(Z)
-    e = np.exp(-1j * np.pi * samples[:, 1])
-    predicted = {"w1": (-1.0 + 0.0j, -base), "w2": (M, M * e * base),
-                 "w1+w2": (-M, -M * e * base)}
-    constants = {}
-    for name, got, w in zip(periods, shifted, weights):
-        value, want = predicted[name]
-        constants[name] = HalfPeriodConstant(value, float(np.max(w * np.abs(got - want))),
-                                             n_samples)
+    e = (M / abs(M)) * np.exp(-1j * np.pi * samples[:, 1].real)
+    predicted = {"w1": (-1.0 + 0.0j, -base), "w2": (M, e * base), "w1+w2": (-M, -e * base)}
+    constants = {name: HalfPeriodConstant(value, float(np.max(np.abs(got - want))), n_samples)
+                 for (name, (value, want)), got in zip(predicted.items(), shifted)}
 
     # automorphy at the first (up to) three samples v over lam = Z m + D n,
     # m and n in {-1, 0, 1}^2: all 9 x 9 points v + lam per sample in one call
@@ -233,12 +230,10 @@ def quasi_periodicity_check(
     unit = np.array([(a, b) for a in (-1, 0, 1) for b in (-1, 0, 1)], dtype=float)
     lam = (unit @ Zm.T)[:, None, :] + (unit * (1.0, 4.0))[None, :, :]  # (m, n, 2)
     vs = (v[:, None, None, :] + lam).reshape(-1, 2)                     # (v, m, n)
-    got = odd_theta(vs, Z, settings).reshape(len(v), 9, 9)
-    mZm = np.einsum("mi,ij,mj->m", unit, Zm, unit)
-    factor = np.exp(-1j * np.pi * mZm - 2j * np.pi * (v @ unit.T))     # (v, m)
-    want = factor[:, :, None] * base[:3, None, None]
-    ws = canonical_weight(Z, vs).reshape(got.shape)
-    auto_res = float(np.max(ws * np.abs(got - want)))
+    got = _weighted_odd(vs, Z, settings).reshape(len(v), 9, 9)
+    mXm = np.einsum("mi,ij,mj->m", unit, Zm.real, unit)
+    phase = np.exp(-1j * np.pi * (mXm + 2.0 * (v.real @ unit.T)))      # (v, m)
+    auto_res = float(np.max(np.abs(got - phase[:, :, None] * base[:3, None, None])))
 
     return QuasiPeriodicityReport(constants["w1"].spread, constants, auto_res,
                                   law_bound(Z, settings))
@@ -276,18 +271,18 @@ def minus_one_action(
     """Check the (-1)-action on the four basis sections at random points v.
 
     The law is theta_k(-v) = theta_sigma(k)(v), sigma = (0)(2)(1 3), whose
-    matrix is P = NEGATION_PERMUTATION.  It is read as the weighted residual
-    w(v) |theta(-v) - P theta(v)|, w = canonical_weight (the same at v and
-    -v), and holds when permutation_residual, the largest over the points
-    and sections, is at most `bound`, law_bound.  P is an
+    matrix is P = NEGATION_PERMUTATION.  v and -v share one weight, so it is
+    read as the residual |theta(-v) - P theta(v)| between weighted values,
+    and holds when permutation_residual, the largest over the points and
+    sections, is at most `bound`, law_bound.  P is an
     involution, so its invariant and anti-invariant dimensions follow from
     its trace: 3 and 1.
     """
     rng = np.random.default_rng(seed)
     pts = _points([random_point(Z, rng) for _ in range(n_points)])
-    B = theta_basis(np.concatenate([pts, -pts]), Z, settings)  # 2n x 4
+    B = _weighted_sums(_BASIS, np.concatenate([pts, -pts]), Z, settings)  # 4 x 2n
     P = NEGATION_PERMUTATION
-    residual = canonical_weight(Z, pts)[:, None] * np.abs(B[n_points:] - B[:n_points] @ P.T)
+    residual = np.abs(B[:, n_points:] - P @ B[:, :n_points])
     trace = round(float(np.trace(P)))
     return NegationReport(
         permutation_residual=float(np.max(residual)),
@@ -347,11 +342,11 @@ def product_case_components(
     moving fibre v1 = (1 + tau1)/2 and on the four horizontal components
     v2 in {0, 2, tau2/2, 2 + tau2/2} (_HORIZONTALS).  Each component is
     sampled at n_samples points, with a displaced copy as negative control,
-    and 20 generic points give generic_scale.  Every value is weighted
-    (canonical_weight): a component vanishes when its max_abs is at most
-    scan.bound (_value_bound), and its control is nonzero when its
-    control_min_abs is above it.  The torsion scan records the 12 simple
-    points and the 4 nodes.  Raises NotDiagonal for non-diagonal Z.
+    and 20 generic points give generic_scale.  Every value is weighted: a
+    component vanishes when its max_abs is at most scan.bound
+    (_value_bound), and its control is nonzero when its control_min_abs is
+    above it.  The torsion scan records the 12 simple points and the 4
+    nodes.  Raises NotDiagonal for non-diagonal Z.
     """
     if not Z.is_diagonal():
         raise NotDiagonal(f"z12 = {Z.z12} is nonzero")
@@ -371,7 +366,7 @@ def product_case_components(
         sets.append((label, f"v2 = {v2star}", on, on + (0.0, 0.31)))
     generic = _points([random_point(Z, rng) for _ in range(20)])
     pts = np.concatenate([b for _, _, on, ctrl in sets for b in (on, ctrl)] + [generic])
-    vals = canonical_weight(Z, pts) * np.abs(odd_theta(pts, Z, settings))
+    vals = np.abs(_weighted_odd(pts, Z, settings))
     on_ctrl = vals[:-len(generic)].reshape(len(sets), 2, n)
     components = [
         ComponentRecord(label, desc, n, float(on.max()), float(ctrl.min()))

@@ -6,22 +6,25 @@ a point v in C^2,
     theta[c1; c2](v, Z) = sum_{l in Z^2} exp( pi*i (l+c1)^T Z (l+c1)
                                               + 2*pi*i (l+c1) . (v+c2) ).
 
-Every public evaluator goes through `_evaluate`, which centres each sum on
-its Gaussian peak, so one box radius serves every point: the least R whose
-Gaussian majorant of the dropped tail, relative to the peak, is below tol.
-It depends only on (Z, tol, gradient order), and `truncation_radius`
-caches it; `radius=` is the half-width of each row's centred box.
+Every evaluator goes through `_evaluate`, which centres each sum on its
+Gaussian peak exp(pi y^T Y^-1 y), y = Im v, so one box radius serves every
+point: the least R whose Gaussian majorant of the dropped tail, relative to
+the peak, is below tol.  It depends only on (Z, tol, gradient order), and
+`truncation_radius` caches it; `radius=` is the half-width of each row's
+centred box.  `_evaluate` returns weighted values, theta over its peak
+(Deconinck, Heil, Bobenko, van Hoeij & Schmies, Computing Riemann theta
+functions, Math. Comp. 73 (2004)), which the package reads through
+`_weighted_odd` and `_weighted_sums`.  Only the four public evaluators form
+raw theta, in `_raw`, the one range check: a point whose Gaussian peak, or
+raw value, is beyond double range raises OverflowError, not nan.
 
-Each evaluator takes one point v = (v1, v2), returning Python complexes,
-or an (n, 2) array of points, one per row, returning arrays indexed by
-row.  A point is a one-row batch: `_rows` makes the (n, 2) complex array
-the only point format below the public functions, and raises OutOfRange
-for any other shape and for a coordinate that is not finite.  A row of a
-batch is its single call bit for bit, except that the default gradient
-radius is the batch's.  A point whose Gaussian peak exp(pi y^T Y^-1 y),
-y = Im v, or one of whose sums is beyond double range raises
-OverflowError, not nan; so does a point where the odd section's
-difference of two sums is.
+Each public evaluator takes one point v = (v1, v2), returning Python
+complexes, or an (n, 2) array of points, one per row, returning arrays
+indexed by row.  A point is a one-row batch: `_rows` makes the (n, 2)
+complex array the only point format below the public functions, and raises
+OutOfRange for any other shape and for a coordinate that is not finite.  A
+row of a batch is its single call bit for bit, except that the default
+gradient radius is the batch's.
 """
 
 from __future__ import annotations
@@ -143,16 +146,16 @@ def _characteristics(*chis: ThetaCharacteristic):
 _LOG_DBL_MAX = math.log(sys.float_info.max)
 
 
-def _check_range(v, log_peak, log_top):
-    """Raise OverflowError naming the first row of v with an entry of log_top,
-    (k, n) logs of moduli, beyond double range or not a number; else return
-    the largest entry."""
-    top = log_top.max(initial=-np.inf)
-    if not top <= _LOG_DBL_MAX:
-        bad = np.argmax(~(log_top <= _LOG_DBL_MAX).all(axis=0))
+def _raw(x, v, log_peak):
+    """Raw theta from weighted values x, rows of v on the last axis: x times
+    the Gaussian peak exp(log_peak).  Raises OverflowError naming the first
+    row whose peak, or a raw entry, is beyond double range or not a number."""
+    log_top = np.log(np.maximum(np.abs(x).max(axis=tuple(range(x.ndim - 1))), 1.0)) + log_peak
+    if not log_top.max(initial=-np.inf) <= _LOG_DBL_MAX:
+        bad = np.argmax(~(log_top <= _LOG_DBL_MAX))
         raise OverflowError(f"theta sum at v = {tuple(v[bad].tolist())} is beyond double range: "
                             f"its Gaussian peak is exp({log_peak[bad]:.6g})")
-    return top
+    return x * np.exp(log_peak)
 
 
 def _check_imag_range(v, Z: PeriodMatrix):
@@ -169,27 +172,26 @@ def _check_imag_range(v, Z: PeriodMatrix):
 
 
 def _evaluate(chars, v, Z: PeriodMatrix, settings: EvalSettings, radius, grad_order: int):
-    """Kernel sums for each characteristic of chars (see `_characteristics`)
-    at the rows of v: a (k, n) array of values, or for grad_order 1 a
-    (k, 3, n) array of (value, d/dv1, d/dv2).
+    """Weighted kernel sums for each characteristic of chars (see
+    `_characteristics`) at the rows of v: a (k, n) array of values, or for
+    grad_order 1 a (k, 3, n) array of (value, d/dv1, d/dv2), each times
+    w(v) = exp(-log_peak); and log_peak, the log of each row's Gaussian peak.
 
     Each row and characteristic [c1; c2] is centred on its Gaussian peak:
     with w = v + c2, mu = rint(-Y^{-1} Im v - c1) + c1 and w' = w + Z mu,
     theta(v) = P S(w'), P = exp(pi i mu . (w + w')), S summed over a box
-    centred within 1/2 of its peak; the kernel gives S over that peak, so P
-    is exp(log peak + i arg P).  The gradient is P (grad S + 2 pi i mu S); a
-    tail term at sup-norm j carries 2 pi (j + 1 + |mu - c1|), so it is
-    certified at tol / (1 + max |mu - c1|).  Raises OverflowError for a row
-    whose peak, or the peak times a sum, is beyond double range or nan.
+    centred within 1/2 of its peak; the kernel gives S over that peak, so
+    w(v) theta(v) is exp(i arg P) times it, at most (2R+1)^2 in modulus.  The
+    gradient is P (grad S + 2 pi i mu S); a tail term at sup-norm j carries
+    2 pi (j + 1 + |mu - c1|), so it is certified at tol / (1 + max |mu - c1|).
     """
     c1, c2 = chars
     _check_imag_range(v, Z)
     u, log_peak = _gaussian_peak(Z, v)
-    peak = _check_range(v, log_peak, log_peak[None])
     w = v if c2 is None else v + c2
     mu = np.rint(-u - c1) + c1  # (k, n, 2)
     wp = w + (mu[..., None, :] * Z.as_matrix()).sum(axis=-1)
-    p = np.exp(log_peak + ((w + wp) * mu).sum(axis=-1).real * (1j * np.pi))
+    phase = np.exp(((w + wp) * mu).sum(axis=-1).real * (1j * np.pi))
     if radius is None:
         nbar = float(np.abs(mu - c1).max(initial=0.0)) if grad_order else 0.0
         radius = truncation_radius(Z.min_imag_eigenvalue(), 0.5, settings.tol / (1.0 + nbar),
@@ -198,14 +200,27 @@ def _evaluate(chars, v, Z: PeriodMatrix, settings: EvalSettings, radius, grad_or
         s, g1, g2 = _KERNEL.theta_sum_grad(Z.z11, Z.z12, Z.z22, wp, radius)
         twopi_i_s = s * (2j * np.pi)
         out = np.stack((s, g1 + mu[..., 0] * twopi_i_s, g2 + mu[..., 1] * twopi_i_s), axis=1)
-    else:
-        out = _KERNEL.theta_sum(Z.z11, Z.z12, Z.z22, wp, radius)
-    size = np.abs(out).max(axis=1) if grad_order else np.abs(out)
-    # the largest sum times the largest peak bounds every row; the rows are
-    # tested one by one only when that bound is out of range or a sum is nan
-    if not size.max(initial=0.0) <= math.exp(_LOG_DBL_MAX - peak):
-        _check_range(v, log_peak, np.log(np.maximum(size, 1e-300)) + log_peak)
-    return out * (p[:, None] if grad_order else p)
+        return out * phase[:, None], log_peak
+    return _KERNEL.theta_sum(Z.z11, Z.z12, Z.z22, wp, radius) * phase, log_peak
+
+
+# theta[3w; 0] first, theta[w; 0] second: the odd section is their difference
+_ODD_PAIR = _characteristics(quarter_characteristic(3), OMEGA)
+_BASIS = _characteristics(*(quarter_characteristic(k) for k in range(4)))
+
+
+def _weighted_sums(chars, v, Z: PeriodMatrix, settings: EvalSettings):
+    """Weighted theta of each of chars (`_BASIS` for the four basis sections)
+    at the rows of v, an (n, 2) array: a (k, n) array."""
+    return _evaluate(chars, v, Z, settings, None, 0)[0]
+
+
+def _weighted_odd(v, Z: PeriodMatrix, settings: EvalSettings, grad_order: int = 0):
+    """Weighted odd section w(v) theta_A at the rows of v, an (n, 2) array:
+    an (n,) array, or for grad_order 1 a (3, n) array of value and gradient,
+    both times w(v)."""
+    s3, s1 = _evaluate(_ODD_PAIR, v, Z, settings, None, grad_order)[0]
+    return s3 - s1
 
 
 def theta_char(
@@ -220,26 +235,8 @@ def theta_char(
     A complex for a point, an (n,) array for an (n, 2) array of points.
     """
     rows, single = _rows(v)
-    return _unwrap(_evaluate(_characteristics(chi), rows, Z, settings, radius, 0)[0], single)
-
-
-# theta[3w; 0] first, theta[w; 0] second: the odd section is their difference
-_ODD_PAIR = _characteristics(quarter_characteristic(3), OMEGA)
-
-
-def _odd_difference(s3, s1, v):
-    """s3 - s1, the odd section from its two sums (rows of v on the last
-    axis); raises OverflowError naming the first row of v where the
-    difference of two finite sums is beyond double range."""
-    with np.errstate(over="ignore"):
-        d = s3 - s1
-    finite = np.isfinite(d)
-    if np.count_nonzero(finite) < d.size:
-        bad = np.argmax(~finite.reshape(-1, len(v)).all(axis=0))
-        raise OverflowError(f"odd section at v = {tuple(v[bad].tolist())} is beyond double range: "
-                            "theta[3w; 0] - theta[w; 0] overflows")
-    return d
-_BASIS = _characteristics(*(quarter_characteristic(k) for k in range(4)))
+    (s,), log_peak = _evaluate(_characteristics(chi), rows, Z, settings, radius, 0)
+    return _unwrap(_raw(s, rows, log_peak), single)
 
 
 def odd_theta(
@@ -254,8 +251,8 @@ def odd_theta(
     A complex for a point, an (n,) array for an (n, 2) array of points.
     """
     rows, single = _rows(v)
-    t3, t1 = _evaluate(_ODD_PAIR, rows, Z, settings, radius, 0)
-    return _unwrap(_odd_difference(t3, t1, rows), single)
+    (s3, s1), log_peak = _evaluate(_ODD_PAIR, rows, Z, settings, radius, 0)
+    return _unwrap(_raw(s3 - s1, rows, log_peak), single)
 
 
 def odd_theta_gradient(
@@ -279,8 +276,8 @@ def odd_theta_with_gradient(
     pass at one radius; each entry is an (n,) array for an (n, 2) array of
     points."""
     rows, single = _rows(v)
-    s3, s1 = _evaluate(_ODD_PAIR, rows, Z, settings, radius, 1)
-    t, g1, g2 = (_unwrap(x, single) for x in _odd_difference(s3, s1, rows))
+    (s3, s1), log_peak = _evaluate(_ODD_PAIR, rows, Z, settings, radius, 1)
+    t, g1, g2 = (_unwrap(x, single) for x in _raw(s3 - s1, rows, log_peak))
     return t, (g1, g2)
 
 
@@ -293,4 +290,5 @@ def theta_basis(
     list of four complexes for a point, an (n, 4) array for an (n, 2) array
     of points (row i holds the four values at point i)."""
     rows, single = _rows(v)
-    return _unwrap(_evaluate(_BASIS, rows, Z, settings, None, 0).T, single)
+    sums, log_peak = _evaluate(_BASIS, rows, Z, settings, None, 0)
+    return _unwrap(_raw(sums, rows, log_peak).T, single)

@@ -14,15 +14,22 @@ rounding (the gradient radius follows the batch, and rounding can still
 decide a zero whose |theta_A| sits at the rounding floor); its outcome is
 fixed when it converges, meets a flat gradient or fails its line search.
 Lines are finished in order and deduplicated in seed order, the previous
-line's solutions first.  The emitted cloud is closed under v -> -v,
-realised as v -> Z e1 + D e1 - v, which maps the chart to itself.  That
-symmetry of the curve is exact, so a mirror point is accepted on its
-source's certificate.  The mirrors are still evaluated, in one batched
-call, to fill their value and gradient columns, and that call checks the
-mapping: the canonically weighted modulus w(v)|theta_A(v)| is invariant
-under the symmetry, so a mirror whose weighted value differs from its
-source's by more than the two truncation errors is recorded as a failure
-instead of being emitted.
+line's solutions first.
+
+Everything here reads weighted values w(v) theta_A, w the inverse of the
+Gaussian peak (theta._weighted_odd), which stay bounded where the raw value
+is beyond double range; a Newton step theta / d theta is unchanged, since
+both carry w(v).  A zero is accepted when its weighted |theta_A| is below
+tol / 2: the other half of tol covers the error of that reading, so the
+point also passes a check of its raw |theta_A| against tol times its peak.
+`TracePoint.abs_theta` and `grad_norm`, and the CSV's columns, are weighted.
+The emitted cloud is closed under v -> -v, realised as v -> Z e1 + D e1 - v,
+which maps the chart to itself.  That symmetry of the curve is exact, so a
+mirror point is accepted on its source's certificate.  The mirrors are still
+evaluated, in one batched call, to fill their columns, and that call checks
+the mapping: w(v)|theta_A(v)| is invariant under the symmetry, so a mirror
+whose weighted value differs from its source's by more than
+surface.law_bound is recorded as a failure instead of being emitted.
 """
 
 from __future__ import annotations
@@ -33,8 +40,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .siegel import EvalSettings, PeriodMatrix, two_torsion_points
-from .surface import ScanKind, canonical_weight, two_torsion_scan
-from .theta import _points, odd_theta, odd_theta_with_gradient
+from .surface import ScanKind, law_bound, two_torsion_scan
+from .theta import _points, _weighted_odd
 
 
 @dataclass(frozen=True)
@@ -42,8 +49,8 @@ class TracePoint:
     line: tuple[int, int]   # grid indices; (-1, -1) for torsion seed points
     v1: complex
     v2: complex
-    abs_theta: float
-    grad_norm: float
+    abs_theta: float        # weighted, w(v) |theta_A(v)|
+    grad_norm: float        # weighted, w(v) |grad theta_A(v)|
 
 
 MIRROR_DISAGREES = "mirror disagrees with its source"
@@ -81,15 +88,16 @@ def _newton_pool(Z, v1s, seeds, settings, max_iter=50):
     values are stale, value and gradient at the full steps (which a row
     that takes one carries into its next step), and the values at all
     seven halvings lambda = 1/2 .. 1/128 of every failed full step, of
-    which a row takes the largest that decreases |theta|.  A row leaves
-    when |theta| < settings.tol (converged), when its smallest trial step
-    |theta / (d theta/dv2)| / 128 passes the fibre period 4 (flat; rounding
-    cannot decide this where the derivative vanishes, as it decides a floor
-    on |d theta/dv2|) or when its line search finds no decrease; a row
-    still active after max_iter steps of its own is judged by its last
-    value.  Returns, for each line in order, its starts, their outcomes
-    (v2, |theta|, |d theta/dv2|, ok) as lists in start order and its
-    solutions (see `_solutions`), and the points evaluated.
+    which a row takes the largest that decreases weighted |theta|.  A row
+    leaves when that is below settings.tol / 2 (converged), when its
+    smallest trial step |theta / (d theta/dv2)| / 128 passes the fibre
+    period 4 (flat; rounding cannot decide this where the derivative
+    vanishes, as it decides a floor on |d theta/dv2|) or when its line
+    search finds no decrease; a row still active after max_iter steps of
+    its own is judged by its last value.  Returns, for each line in order,
+    its starts, their outcomes (v2, |theta|, |d theta/dv2|, ok) as lists in
+    start order and its solutions (see `_solutions`), and the points
+    evaluated.
     """
     n_lines, n_seeds = len(v1s), len(seeds)
     v1 = np.repeat(np.asarray(v1s, dtype=complex), n_seeds)
@@ -124,12 +132,12 @@ def _newton_pool(Z, v1s, seeds, settings, max_iter=50):
         active = np.flatnonzero(~done)
         fresh = active[stale[active]]
         if fresh.size:
-            t[fresh], (_, g2[fresh]) = odd_theta_with_gradient(
-                np.column_stack((v1[fresh], v2[fresh])), Z, settings)
+            t[fresh], _, g2[fresh] = _weighted_odd(
+                np.column_stack((v1[fresh], v2[fresh])), Z, settings, 1)
             stale[fresh] = False
             calls += fresh.size
         at = np.abs(t[active])
-        ok[active] = at < settings.tol
+        ok[active] = at < settings.tol / 2
         # flat: the smallest trial step |t / g2| / 128 passes the period 4
         going = ~ok[active] & ~(at > 128 * 4.0 * np.abs(g2[active])) & (steps[active] < max_iter)
         done[active[~going]] = True
@@ -139,7 +147,7 @@ def _newton_pool(Z, v1s, seeds, settings, max_iter=50):
         steps[rows] += 1
         base, base_abs, step = v2[rows], np.abs(t[rows]), t[rows] / g2[rows]
         cand = base - step
-        tc, (_, gc) = odd_theta_with_gradient(np.column_stack((v1[rows], cand)), Z, settings)
+        tc, _, gc = _weighted_odd(np.column_stack((v1[rows], cand)), Z, settings, 1)
         calls += rows.size
         better = np.abs(tc) < base_abs
         took = rows[better]
@@ -149,8 +157,8 @@ def _newton_pool(Z, v1s, seeds, settings, max_iter=50):
         if not search.size:
             continue
         cand = base[search, None] - lam * step[search, None]
-        tc = odd_theta(np.column_stack((np.repeat(v1[rows[search]], lam.size), cand.ravel())),
-                       Z, settings).reshape(cand.shape)
+        tc = _weighted_odd(np.column_stack((np.repeat(v1[rows[search]], lam.size), cand.ravel())),
+                           Z, settings).reshape(cand.shape)
         calls += cand.size
         better = np.abs(tc) < base_abs[search, None]
         hit = better.any(axis=1)
@@ -206,15 +214,10 @@ def _mirrors(Z, N, points, settings):
             mirrors.append(((mi, mj), mv1, mv2))
             sources.append(p)
             by_line.setdefault((mi, mj), []).append(mv2)
-    mv = _points([m[1:] for m in mirrors])
-    t, (g1, g2) = odd_theta_with_gradient(mv, Z, settings)
+    t, g1, g2 = _weighted_odd(_points([m[1:] for m in mirrors]), Z, settings, 1)
     grad = np.hypot(np.abs(g1), np.abs(g2))
-    # w(v)|theta_A(v)| is the same at v and its mirror; each side carries a
-    # truncation error of at most tol in weighted units
-    src_weighted = canonical_weight(Z, _points([(p.v1, p.v2) for p in sources])) * [
-        p.abs_theta for p in sources
-    ]
-    agree = np.abs(canonical_weight(Z, mv) * np.abs(t) - src_weighted) <= 2 * settings.tol
+    # w(v)|theta_A(v)| is the same at v and its mirror: a law on weighted values
+    agree = np.abs(np.abs(t) - [p.abs_theta for p in sources]) <= law_bound(Z, settings)
     kept, dropped = [], []
     for (line, mv1, mv2), a, g, ok in zip(mirrors, np.abs(t).tolist(), grad.tolist(), agree):
         if ok:
@@ -231,14 +234,13 @@ def trace_curve(
 ) -> TraceResult:
     """Trace the curve over an N x N grid of v1 values.
 
-    Every torsion seed and Newton solution satisfies |theta_A| <
-    settings.tol; their mirror images under v -> Z e1 + D e1 - v are added
-    on that certificate, with the values evaluated there in their columns.
+    Every torsion seed and Newton solution satisfies weighted |theta_A| <
+    settings.tol / 2; their mirror images under v -> Z e1 + D e1 - v are
+    added on that certificate, with the values evaluated there in their columns.
     Lines where no seed converges, and mirrors whose weighted |theta_A|
     disagrees with their source's, are recorded as failures, not raised.
     """
     N = int(grid_size)
-    tol_abs = settings.tol
 
     scan = two_torsion_scan(Z, settings)
     simple = {r.label for r in scan.records if r.kind is ScanKind.ODD_VANISHING}
@@ -247,10 +249,10 @@ def trace_curve(
     seed_v2: list[complex] = []
     points: list[TracePoint] = []
     seeds = [torsion[label] for label in sorted(simple)]
-    t, (g1, g2) = odd_theta_with_gradient(_points(seeds), Z, settings)
+    t, g1, g2 = _weighted_odd(_points(seeds), Z, settings, 1)
     grad = np.hypot(np.abs(g1), np.abs(g2))
     for pt, a, g in zip(seeds, np.abs(t).tolist(), grad.tolist()):
-        if a < tol_abs:
+        if a < settings.tol / 2:
             points.append(TracePoint((-1, -1), pt.v1, _reduce_mod4(pt.v2), a, g))
         u = _reduce_mod4(pt.v2)
         if not _is_duplicate(u, seed_v2, tol=1e-3):

@@ -332,14 +332,22 @@ def test_trace_curve_stdout(capsys):
     assert out.startswith("v1_re,")
 
 
-def test_trace_curve_overflow_exits_2(capsys):
-    # draw 52's Newton reaches a point whose theta sum overflows; the
-    # library still raises (tests/test_trace.py), the CLI reports it
+def test_trace_curve_overflow_exits_2(capsys, tmp_path):
+    # draw 52's Newton steps pass points whose raw theta sum is beyond double
+    # range; the tracer reads weighted values, so it answers
     code, out, err = run(capsys, ["trace-curve", "--random", "--seed", "52", "--grid", "4"])
-    assert code == 2
-    assert out == ""
-    assert err.startswith("error: OverflowError: ")
-    assert "Traceback" not in err
+    assert code == 0
+    assert out.startswith("v1_re,")
+    # at Im Z = 1e300 I every point's Gaussian peak is beyond range
+    path = tmp_path / "Z.json"
+    path.write_text(json.dumps({"re": [[0.1, 0.05], [0.05, -0.2]],
+                                "im": [[1e300, 0.0], [0.0, 1e300]]}))
+    for argv in (["trace-curve", "--grid", "4"], ["verify-surface"]):
+        code, out, err = run(capsys, [*argv, "--period-matrix", str(path)])
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: OverflowError: theta sum at v = (")
+        assert "Traceback" not in err
 
 
 def test_trace_curve_summary_counts_failure_kinds(capsys, monkeypatch):

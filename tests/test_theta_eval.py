@@ -448,10 +448,11 @@ def test_huge_imaginary_part_raises_before_squaring(Z0):
 
 
 def test_odd_difference_stays_finite_or_raises():
-    # theta[3w] and theta[w] are each finite near 1e308 at these points, but
-    # their difference is not: the values' at the first point (whose gradient
-    # sums are beyond range themselves), the gradient's at the second; each
-    # raises OverflowError naming its point
+    # raw theta[3w] and theta[w] are each finite near 1e308 at these points,
+    # but their difference is not: the values' at the first point (whose
+    # gradient sums are beyond range themselves), the gradient's at the
+    # second.  The weighted difference is finite, and its raw value raises
+    # OverflowError naming its point
     Z = PeriodMatrix(0.1 + 0.41808j, 0.05 + 0.024929j, -0.2 + 2.70946j)
     v = (-0.33234 - 9.33907j, -0.86024 + 6.28921j)
     with pytest.raises(OverflowError, match=r"\(-0\.33234-9\.33907j\)"):
@@ -484,6 +485,29 @@ def test_not_siegel_rejected():
                     (1j, 0.1, complex(inf, 1.0))]:
         with pytest.raises(NotSiegel):
             PeriodMatrix(*entries)
+
+
+@pytest.mark.parametrize("y11, y12, y22", [
+    (1e200, 0.0, 1e200),     # y11 y22 overflows: lambda_min read nan
+    (2e-14, 0.0, 1e3),       # tr^2 - 4 det cancels: lambda_min read 5.68e-14
+    (1e200, 5e199, 1e200),   # positive definite, but y11 y22 - y12^2 is inf - inf
+    (1.0, 0.3, 1.2),         # Im Z0
+])
+def test_min_imag_eigenvalue_matches_eigvalsh(y11, y12, y22):
+    Z = PeriodMatrix(0.1 + y11 * 1j, 0.05 + y12 * 1j, -0.2 + y22 * 1j)
+    ref = np.linalg.eigvalsh(Z.imag_part())[0]
+    assert Z.min_imag_eigenvalue() == pytest.approx(ref, rel=1e-14, abs=0.0)
+
+
+def test_min_imag_eigenvalue_keeps_every_radius(settings):
+    # on the surface draws 0-199 the radii, of values and of gradients, are
+    # those of the eigenvalue eigvalsh gives
+    for k in range(200):
+        Z = random_period_matrix(np.random.default_rng(k))
+        lam, ref = Z.min_imag_eigenvalue(), np.linalg.eigvalsh(Z.imag_part())[0]
+        for grad_order in (0, 1):
+            assert (truncation_radius(lam, 0.5, settings.tol, 64, grad_order)
+                    == truncation_radius(ref, 0.5, settings.tol, 64, grad_order))
 
 
 def test_characteristic_denominators_checked():
