@@ -150,10 +150,9 @@ def _raw(x, v, log_peak):
     """Raw theta from weighted values x, rows of v on the last axis: x times
     the Gaussian peak exp(log_peak).  Raises OverflowError naming the first
     row whose peak, or a raw entry, is beyond double range or not a number."""
-    size = np.abs(x).max(axis=tuple(range(x.ndim - 1)))
-    log_top = np.log(np.maximum(size, 1.0)) + log_peak
+    log_top = np.log(np.maximum(np.abs(x), 1.0)) + log_peak
     if not log_top.max(initial=-np.inf) <= _LOG_DBL_MAX:
-        bad = np.argmax(~(log_top <= _LOG_DBL_MAX))
+        bad = np.argmax(~(log_top <= _LOG_DBL_MAX).reshape(-1, len(v)).all(axis=0))
         raise OverflowError(f"theta sum at v = {tuple(v[bad].tolist())} is beyond double range: "
                             f"its Gaussian peak is exp({log_peak[bad]:.6g})")
     return x * np.exp(log_peak)

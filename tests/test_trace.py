@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import thetalab.trace as trace
-from thetalab import EvalSettings, PeriodMatrix, odd_theta, random_period_matrix, trace_curve
+from thetalab import PeriodMatrix, odd_theta, random_period_matrix, trace_curve
 from thetalab.surface import canonical_weight, law_bound
 from thetalab.trace import _reduce_mod4
 
