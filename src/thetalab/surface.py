@@ -64,7 +64,7 @@ def _value_bound(Z: PeriodMatrix, settings: EvalSettings) -> float:
     n = (2R+1)^2 terms, each sum is off by less than tol (its tail) plus
     n u sum|terms| <= n^2 u (rounding, u machine epsilon; Higham, Accuracy
     and Stability of Numerical Algorithms, ch. 4).  A single weighted sum,
-    as theta_char and theta_basis return, is within half of this.
+    as theta._weighted_sums returns, is within half of this.
 
     A law lhs = f rhs between two evaluations, v' the point of lhs, reads
     w(v') lhs = (f / |f|) w(v) rhs, since |f| = w(v) / w(v') exactly.  Its
